@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dataset import ColumnSchema, describe, load_cohort, save_cohort
 from .effects import StandardizationSet, effect_triple
@@ -89,10 +91,10 @@ def cmd_describe(args) -> int:
 
 def cmd_fit(args) -> int:
     try:
+        spec = ModelSpec.parse(args.model)
         cohort = load_cohort(args.input, _schema_from_args(args))
-    except DataError as e:
+    except (DataError, ValueError) as e:
         return _error_json(EXIT_DATA, e)
-    spec = ModelSpec.parse(args.model)
     try:
         X = build_design(cohort, spec)
         y = [r.y for r in cohort.records]
@@ -109,14 +111,24 @@ def cmd_fit(args) -> int:
 
 
 def cmd_report(args) -> int:
-    spec = ModelSpec.parse(args.model)
+    if args.draws < 1:
+        return _error_json(EXIT_INFERENCE, TooFewDraws(
+            f"--draws must be at least 1, got {args.draws}"))
+    if not 0.0 < args.alpha < 1.0:
+        return _error_json(EXIT_INFERENCE, InferenceError(
+            f"--alpha must lie in (0, 1), got {args.alpha}"))
     try:
+        spec = ModelSpec.parse(args.model)
         cohort = load_cohort(args.input, _schema_from_args(args))
-    except DataError as e:
+    except (DataError, ValueError) as e:
         return _error_json(EXIT_DATA, e)
     try:
         if args.fit_json:
-            fit = FitResult.from_json(Path(args.fit_json).read_text())
+            try:
+                fit = FitResult.from_json(Path(args.fit_json).read_text())
+            except (OSError, ValueError, KeyError, TypeError) as e:
+                raise FitError(f"cannot use --fit-json {args.fit_json}: "
+                               f"{type(e).__name__}: {e}") from None
             if tuple(fit.term_names) != spec.names:
                 raise FitError(
                     f"fit terms {fit.term_names} do not match --model "
@@ -162,7 +174,8 @@ def cmd_report(args) -> int:
     for which in ("te1", "te2"):
         try:
             ell = confidence_ellipse(
-                list(zip(dist.component(which), dist.int_)), args.alpha)
+                np.column_stack([dist.component(which), dist.int_]),
+                args.alpha)
             write_json(f"ellipse_{which}_int.json", ell.to_dict())
             write_text(f"ellipse_{which}_int.csv", ellipse_csv(ell))
         except InferenceError as e:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Cohort
-from .errors import BadCovariateIndex, DimensionMismatch
-from .glm import ModelSpec, expit_stable
+from .errors import DimensionMismatch
+from .glm import ModelSpec, design_columns, expit_stable
 
 DUAL_INT_ATOL = 1e-12
 
@@ -73,28 +73,8 @@ def _linear_predictors(pi, spec: ModelSpec, z1, z2, rows):
         raise DimensionMismatch(
             f"coefficient vector has length {pi.shape[-1]}, model has {spec.k} terms"
         )
-    n, m = rows.shape
-    cols = np.empty((spec.k, n))
-    for j, t in enumerate(spec.terms):
-        if t.kind == "intercept":
-            cols[j] = 1.0
-        elif t.kind == "z1":
-            cols[j] = z1
-        elif t.kind == "z2":
-            cols[j] = z2
-        elif t.kind == "z1z2":
-            cols[j] = z1 * z2
-        else:
-            c = t.covariate - 1
-            if c >= m:
-                raise BadCovariateIndex(t.covariate, m)
-            if t.kind == "x":
-                cols[j] = rows[:, c]
-            elif t.kind == "z1x":
-                cols[j] = z1 * rows[:, c]
-            else:
-                cols[j] = z2 * rows[:, c]
-    eta = np.zeros(pi.shape[:-1] + (n,))
+    cols = design_columns(spec, z1, z2, rows)
+    eta = np.zeros(pi.shape[:-1] + (cols.shape[1],))
     for j in range(spec.k):
         eta += pi[..., j, None] * cols[j]
     return eta
@@ -103,49 +83,32 @@ def _linear_predictors(pi, spec: ModelSpec, z1, z2, rows):
 def risk(pi, spec: ModelSpec, z1, z2, x) -> float:
     """Model risk for one subject: logistic transform of the linear predictor."""
     rows = np.asarray(x, dtype=float).reshape(1, -1)
-    eta = _linear_predictors(np.asarray(pi, dtype=float), spec, z1, z2, rows)
-    return float(expit_stable(eta)[..., 0])
+    return marginal_risk(pi, spec, z1, z2, StandardizationSet(rows))
 
 
 def marginal_risk(pi, spec: ModelSpec, z1, z2, std: StandardizationSet) -> float:
     """Risk standardized over the cohort's empirical covariate distribution."""
-    eta = _linear_predictors(np.asarray(pi, dtype=float), spec, z1, z2, std.rows)
+    eta = _linear_predictors(pi, spec, z1, z2, std.rows)
     return float(np.mean(expit_stable(eta), axis=-1))
-
-
-def _marginal_risks_all(pi, spec: ModelSpec, std: StandardizationSet):
-    """Marginal risks at the four exposure pairs; vectorized over stacked pi."""
-    out = []
-    for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        eta = _linear_predictors(pi, spec, z1, z2, std.rows)
-        out.append(np.mean(expit_stable(eta), axis=-1))
-    return out  # m00, m10, m01, m11
 
 
 def effect_triple(pi, spec: ModelSpec, std: StandardizationSet) -> EffectTriple:
     """Evaluate (te1, te2, int) at one coefficient vector."""
-    m00, m10, m01, m11 = _marginal_risks_all(
-        np.asarray(pi, dtype=float), spec, std)
-    te1 = m10 - m00
-    te2 = m01 - m00
-    int_via_te1 = (m11 - m01) - te1
-    int_via_te2 = (m11 - m10) - te2
-    if abs(int_via_te1 - int_via_te2) > DUAL_INT_ATOL:
-        raise AssertionError(
-            f"interaction computed two ways disagrees: "
-            f"{int_via_te1!r} vs {int_via_te2!r}"
-        )
-    return EffectTriple(te1=float(te1), te2=float(te2), int_=float(int_via_te1))
+    te1, te2, int_ = effect_triples_batch(
+        np.asarray(pi, dtype=float)[None, :], spec, std)
+    return EffectTriple(te1=float(te1[0]), te2=float(te2[0]),
+                        int_=float(int_[0]))
 
 
 def effect_triples_batch(pis, spec: ModelSpec, std: StandardizationSet):
     """(te1, te2, int) arrays for a stack of coefficient vectors.
 
-    Identical arithmetic to effect_triple, evaluated row-parallel; the
-    dual-interaction identity is asserted at the same tolerance.
+    The dual-interaction identity is asserted for every vector.
     """
-    pis = np.asarray(pis, dtype=float)
-    m00, m10, m01, m11 = _marginal_risks_all(pis, spec, std)
+    m00, m10, m01, m11 = (
+        np.mean(expit_stable(_linear_predictors(pis, spec, z1, z2, std.rows)),
+                axis=-1)
+        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)))
     te1 = m10 - m00
     te2 = m01 - m00
     int_via_te1 = (m11 - m01) - te1

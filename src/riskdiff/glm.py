@@ -129,37 +129,34 @@ class ModelSpec:
 CARDIA_MODEL = ModelSpec.parse("z1,z2,z1*z2,x1,x2,x3,z1*x1")
 
 
-def term_value(term: Term, z1, z2, x):
-    """Evaluate one term for scalar exposures and a covariate vector."""
-    if term.kind == "intercept":
-        return 1.0
-    if term.kind == "z1":
-        return float(z1)
-    if term.kind == "z2":
-        return float(z2)
-    if term.kind == "z1z2":
-        return float(z1) * float(z2)
-    j = term.covariate - 1
-    if j >= len(x):
-        raise BadCovariateIndex(term.covariate, len(x))
-    if term.kind == "x":
-        return float(x[j])
-    if term.kind == "z1x":
-        return float(z1) * float(x[j])
-    return float(z2) * float(x[j])
+def design_columns(spec: ModelSpec, z1, z2, rows) -> np.ndarray:
+    """k-by-n design columns, one per model term, for n covariate rows.
+
+    z1 and z2 are scalars (every row at the same exposures) or per-row
+    arrays (each subject's observed exposures).
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, m = rows.shape
+    # each term is an exposure factor times a covariate (or 1.0); multiplying
+    # by 1.0 is exact, so this form changes no bits of any column
+    exposure = {"intercept": 1.0, "z1": z1, "z2": z2, "z1z2": z1 * z2,
+                "x": 1.0, "z1x": z1, "z2x": z2}
+    cols = np.empty((spec.k, n))
+    for j, t in enumerate(spec.terms):
+        if t.covariate > m:
+            raise BadCovariateIndex(t.covariate, m)
+        x = rows[:, t.covariate - 1] if t.covariate else 1.0
+        cols[j] = exposure[t.kind] * x
+    return cols
 
 
 def build_design(cohort: Cohort, spec: ModelSpec) -> np.ndarray:
     """n-by-k design matrix with one column per model term."""
-    n_cov = len(cohort.covariate_names)
-    for t in spec.terms:
-        if t.covariate > n_cov:
-            raise BadCovariateIndex(t.covariate, n_cov)
-    X = np.empty((cohort.n, spec.k))
-    for i, r in enumerate(cohort.records):
-        for j, t in enumerate(spec.terms):
-            X[i, j] = term_value(t, r.z1, r.z2, r.x)
-    return X
+    records = cohort.records
+    z1 = np.array([r.z1 for r in records], dtype=float)
+    z2 = np.array([r.z2 for r in records], dtype=float)
+    rows = np.array([r.x for r in records], dtype=float)
+    return np.ascontiguousarray(design_columns(spec, z1, z2, rows).T)
 
 
 @dataclass(frozen=True)
@@ -173,8 +170,11 @@ class FitResult:
 
     def __post_init__(self):
         k = len(self.pi_hat)
-        if self.sigma_hat.shape != (k, k):
+        if self.pi_hat.ndim != 1 or self.sigma_hat.shape != (k, k):
             raise ValueError("covariance dimension does not match coefficients")
+        if not (np.all(np.isfinite(self.pi_hat))
+                and np.all(np.isfinite(self.sigma_hat))):
+            raise ValueError("coefficients and covariance must be finite")
         asym = np.max(np.abs(self.sigma_hat - self.sigma_hat.T))
         scale = max(np.max(np.abs(self.sigma_hat)), 1.0)
         if asym > 1e-10 * scale:

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import StandardizationSet, effect_triple
+from .effects import StandardizationSet
 from .errors import DegenerateCloud, EmptySamples, TooFewDraws
-from .glm import FitResult, ModelSpec
-from .montecarlo import EffectDistribution, effect_distribution
+from .glm import FitResult, ModelSpec, design_columns, expit_stable
+from .montecarlo import EffectDistribution
 
 MIN_TERCILE_DRAWS = 30
-DELTA_STEP = 1e-5
 
 
 def quantile(samples, p: float) -> float:
@@ -211,24 +210,24 @@ def delta_method_check(fit: FitResult, spec: ModelSpec,
                        std: StandardizationSet) -> dict:
     """First-order (delta-method) variance of each effect at pi_hat.
 
-    Gradients come from central finite differences of the effect
-    functionals; this exists as an independent cross-check on the Monte
-    Carlo variances, not as a reporting path.
+    Each standardized risk m(z1, z2) = mean_i expit(d_i . pi) has the exact
+    gradient mean_i mu_i (1 - mu_i) d_i, where d_i is subject i's design
+    row at (z1, z2) and mu_i its risk at pi_hat. The effect gradients are
+    the same contrasts of these four (dm) as the effects are of the risks,
+    and each variance is g' sigma_hat g. This exists as an independent
+    cross-check on the Monte Carlo variances, not as a reporting path.
     """
-    k = len(fit.pi_hat)
-    grads = np.empty((3, k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = DELTA_STEP
-        up = effect_triple(fit.pi_hat + e, spec, std)
-        dn = effect_triple(fit.pi_hat - e, spec, std)
-        grads[0, j] = (up.te1 - dn.te1) / (2.0 * DELTA_STEP)
-        grads[1, j] = (up.te2 - dn.te2) / (2.0 * DELTA_STEP)
-        grads[2, j] = (up.int_ - dn.int_) / (2.0 * DELTA_STEP)
-    return {
-        name: float(g @ fit.sigma_hat @ g)
-        for name, g in zip(("te1", "te2", "int"), grads)
+    dm = {}
+    for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        d = design_columns(spec, z1, z2, std.rows)
+        mu = expit_stable(fit.pi_hat @ d)
+        dm[z1, z2] = d @ (mu * (1.0 - mu)) / std.n
+    grads = {
+        "te1": dm[1, 0] - dm[0, 0],
+        "te2": dm[0, 1] - dm[0, 0],
+        "int": dm[1, 1] - dm[0, 1] - dm[1, 0] + dm[0, 0],
     }
+    return {name: float(g @ fit.sigma_hat @ g) for name, g in grads.items()}
 
 
 def ellipse_csv(ellipse: ConfidenceEllipse, n_points: int = 64) -> str:

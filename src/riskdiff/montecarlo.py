@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtri
 
 from .effects import StandardizationSet, effect_triples_batch
@@ -29,7 +30,7 @@ DEFAULT_N_DRAWS = 1000
 
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T = sigma.
+    """Lower-triangular L with L @ L.T = sigma, factored by LAPACK dpotrf.
 
     Raises NotPositiveDefinite with the pivot index of the first
     non-positive leading minor.
@@ -41,14 +42,9 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
     asym = np.max(np.abs(sigma - sigma.T)) if k else 0.0
     if asym > 1e-8 * max(np.max(np.abs(sigma)), 1.0):
         raise ValueError("matrix not symmetric within tolerance")
-    L = np.zeros((k, k))
-    for j in range(k):
-        d = sigma[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefinite(pivot=j)
-        L[j, j] = np.sqrt(d)
-        for i in range(j + 1, k):
-            L[i, j] = (sigma[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
+    L, info = dpotrf(sigma, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(pivot=info - 1)
     return L
 
 
@@ -85,15 +81,20 @@ def _standard_normals(seed: int, index: int, k: int) -> np.ndarray:
     return ndtri(u)
 
 
-def _affine_draws(pi_hat, L, z):
-    """pi_hat + L z, accumulated column by column in fixed order.
+def _draws(pi_hat, L, seed: int, start: int, stop: int) -> np.ndarray:
+    """Coefficient draws start..stop-1: pi_hat + L z, z from each draw's stream.
 
-    Avoids matrix multiplication on purpose: BLAS kernels pick different
-    summation orders for different stack heights, which would make the draw
-    bits depend on chunk size and break the determinism contract.
+    The affine map is accumulated column by column in fixed order, avoiding
+    matrix multiplication on purpose: BLAS kernels pick different summation
+    orders for different stack heights, which would make the draw bits
+    depend on chunk size and break the determinism contract.
     """
+    k = len(pi_hat)
+    z = np.empty((stop - start, k))
+    for i in range(start, stop):
+        z[i - start] = _standard_normals(seed, i, k)
     acc = np.zeros_like(z)
-    for j in range(z.shape[1]):
+    for j in range(k):
         acc += z[:, j, None] * L[None, :, j]
     return pi_hat + acc
 
@@ -107,11 +108,7 @@ def sample_parameters(fit: FitResult, n_draws: int, seed: int,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     L, jitter = _factor_with_jitter(fit.sigma_hat, allow_jitter)
-    k = len(fit.pi_hat)
-    z = np.empty((n_draws, k))
-    for i in range(n_draws):
-        z[i] = _standard_normals(seed, i, k)
-    return _affine_draws(fit.pi_hat, L, z), jitter
+    return _draws(fit.pi_hat, L, seed, 0, n_draws), jitter
 
 
 @dataclass(frozen=True)
@@ -165,12 +162,8 @@ def fit_identity_hash(fit: FitResult) -> str:
 
 def _eval_chunk(args):
     pi_hat, L, spec, std, seed, start, stop = args
-    k = len(pi_hat)
-    z = np.empty((stop - start, k))
-    for i in range(start, stop):
-        z[i - start] = _standard_normals(seed, i, k)
-    pis = _affine_draws(pi_hat, L, z)
-    return start, effect_triples_batch(pis, spec, std)
+    return start, effect_triples_batch(_draws(pi_hat, L, seed, start, stop),
+                                       spec, std)
 
 
 def effect_distribution(fit: FitResult, spec: ModelSpec,

@@ -177,6 +177,62 @@ class TestReport:
         assert (tmp_path / "effects.json").exists()
 
 
+class TestFailurePaths:
+    """Each failure exits with its code and JSON on stderr, writing nothing."""
+
+    def _fails(self, argv, out, code, capsys):
+        got, _, err = run(argv + ["--out", str(out)], capsys)
+        assert got == code
+        assert json.loads(err)["exit_code"] == code
+        assert not out.exists() or not any(out.iterdir())
+
+    def _report(self, fixture_dir, fit_json=None):
+        return ["report",
+                "--input", str(fixture_dir / "cardia_cohort.csv"), *COLS,
+                "--model", MODEL, "--seed", "1",
+                "--fit-json", str(fit_json or fixture_dir / "cardia_fit.json")]
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_unparsable_model_exit_2(self, command, fixture_dir, tmp_path,
+                                     capsys):
+        argv = [command, "--input", str(fixture_dir / "cardia_cohort.csv"),
+                *COLS, "--model", "z1,q9"]
+        if command == "report":
+            argv += ["--seed", "1"]
+        self._fails(argv, tmp_path / "out", 2, capsys)
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '{"terms": ["1", "z1", "z2"]}',
+        json.dumps({"terms": ["1", "z1", "z2"], "coefficients": [0.0] * 3,
+                    "covariance": [1.0] * 4}),
+        json.dumps({"terms": ["1", "z1", "z2"], "coefficients": [0.0] * 3,
+                    "covariance": [1.0, 0.5, 0.0, 0.0, 1.0, 0.0,
+                                   0.0, 0.0, 1.0]}),
+    ], ids=["not-json", "missing-keys", "wrong-shape", "asymmetric"])
+    def test_bad_fit_json_exit_3(self, text, fixture_dir, tmp_path, capsys):
+        bad = tmp_path / "fit.json"
+        bad.write_text(text)
+        self._fails(self._report(fixture_dir, bad), tmp_path / "out", 3,
+                    capsys)
+
+    def test_non_finite_fit_json_exit_3(self, fixture_dir, tmp_path, capsys):
+        d = json.loads((fixture_dir / "cardia_fit.json").read_text())
+        d["covariance"][9] = float("nan")
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps(d))
+        self._fails(self._report(fixture_dir, bad), tmp_path / "out", 3,
+                    capsys)
+
+    def test_zero_draws_exit_4(self, fixture_dir, tmp_path, capsys):
+        self._fails(self._report(fixture_dir) + ["--draws", "0"],
+                    tmp_path / "out", 4, capsys)
+
+    def test_alpha_out_of_range_exit_4(self, fixture_dir, tmp_path, capsys):
+        self._fails(self._report(fixture_dir) + ["--alpha", "1.5"],
+                    tmp_path / "out", 4, capsys)
+
+
 class TestFixtureCommand:
     def test_outputs_round_trip(self, fixture_dir):
         from riskdiff.dataset import load_cohort

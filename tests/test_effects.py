@@ -71,6 +71,21 @@ class TestMarginalRisk:
             assert m == pytest.approx(float(expit_stable(0.7)), abs=1e-15)
 
 
+    def test_equals_mean_over_design_matrix(self):
+        # every term kind, evaluated by the fit's design matrix with every
+        # subject set to z1 = z2 = 1
+        from riskdiff.glm import build_design
+        spec = ModelSpec.parse("z1,z2,z1*z2,x2,z1*x1,z2*x2")
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(25, 2))
+        pi = rng.normal(size=spec.k)
+        exposed = Cohort(tuple(SubjectRecord(0, 1, 1, tuple(r)) for r in x),
+                         ("x1", "x2"))
+        want = expit_stable(build_design(exposed, spec) @ pi).mean()
+        got = marginal_risk(pi, spec, 1, 1, StandardizationSet(x))
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
+
+
 class TestEffectTriple:
     def test_no_exposure_terms_gives_zero_triple(self):
         pi = np.array([0.4, 0.0, 0.0, 0.0, 0.03, -0.2, 0.5, 0.0])

@@ -90,6 +90,17 @@ class TestBuildDesign:
         with pytest.raises(BadCovariateIndex):
             build_design(cohort, ModelSpec.parse("z1,z2,x2"))
 
+    def test_all_seven_term_kinds(self):
+        spec = ModelSpec.parse("z1,z2,z1*z2,x2,z1*x1,z2*x2")
+        cohort = make_cohort([(0, 1, 1, (3.0, -2.0)),
+                              (1, 1, 0, (0.5, 4.0)),
+                              (0, 0, 1, (-1.0, 0.25))])
+        X = build_design(cohort, spec)
+        assert X.tolist() == [[1, 1, 1, 1, -2.0, 3.0, -2.0],
+                              [1, 1, 0, 0, 4.0, 0.5, 0.0],
+                              [1, 0, 1, 0, 0.25, 0.0, 0.25]]
+        assert X.flags["C_CONTIGUOUS"]
+
 
 def grouped_design(counts):
     """Expand {(x,): (events, total)} into a design with intercept + x."""
@@ -213,6 +224,17 @@ class TestFitResultSerialization:
         with pytest.raises(ValueError):
             FitResult(pi_hat=np.zeros(2),
                       sigma_hat=np.array([[1.0, 0.3], [0.1, 1.0]]),
+                      loglik=0.0, iterations=1, converged=True,
+                      term_names=("1", "z1"))
+
+    @pytest.mark.parametrize("pi,sigma", [
+        ([0.0, np.nan], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+    ])
+    def test_rejects_non_finite(self, pi, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            FitResult(pi_hat=np.array(pi), sigma_hat=np.array(sigma),
                       loglik=0.0, iterations=1, converged=True,
                       term_names=("1", "z1"))
 

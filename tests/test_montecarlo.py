@@ -55,6 +55,26 @@ class TestCholesky:
             cholesky(sigma)
         assert exc.value.pivot == 1
 
+    def test_not_positive_definite_pivot_2_of_4(self):
+        # leading minors 1, 1, -0.5, so the third pivot fails
+        sigma = np.array([[1.0, 1.0, 1.0, 0.0],
+                          [1.0, 2.0, 1.0, 0.0],
+                          [1.0, 1.0, 0.5, 0.0],
+                          [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(sigma)
+        assert exc.value.pivot == 2
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_matches_numpy(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            A = rng.normal(size=(k, k))
+            sigma = A @ A.T / k + 0.1 * np.eye(k)
+            np.testing.assert_allclose(cholesky(sigma),
+                                       np.linalg.cholesky(sigma),
+                                       rtol=0, atol=1e-14)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
