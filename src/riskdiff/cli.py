@@ -17,7 +17,8 @@ import numpy as np
 from . import __version__
 from .dataset import ColumnSchema, describe, load_cohort, save_cohort
 from .effects import StandardizationSet, effect_triple
-from .errors import DataError, FitError, InferenceError, TooFewDraws
+from .errors import (DataError, FitError, InferenceError, RiskdiffError,
+                     TooFewDraws)
 from .fixtures import CARDIA_SCHEMA, cardia_cohort, cardia_fit
 from .glm import FitResult, ModelSpec, build_design, fit_logistic
 from .inference import (
@@ -25,21 +26,23 @@ from .inference import (
     ellipse_csv,
     histogram_csv,
     marginal_report,
+    tercile_masks,
     tercile_report,
 )
 from .montecarlo import DEFAULT_N_DRAWS, effect_distribution
 
-EXIT_DATA = 2
-EXIT_FIT = 3
-EXIT_INFERENCE = 4
+EXIT_CODES = ((DataError, 2), (FitError, 3), (InferenceError, 4))
 
 
-def _error_json(code, exc_or_list):
-    errs = exc_or_list if isinstance(exc_or_list, list) else [exc_or_list]
+class _Collected(InferenceError):
+    """The report's inference-stage errors, reported together in args."""
+
+
+def _error_json(code, errors):
     payload = {
         "exit_code": code,
         "errors": [
-            {"error": type(e).__name__, "message": str(e)} for e in errs
+            {"error": type(e).__name__, "message": str(e)} for e in errors
         ],
     }
     print(json.dumps(payload), file=sys.stderr)
@@ -56,13 +59,12 @@ def _schema_from_args(args) -> ColumnSchema:
     )
 
 
-def _add_input_args(p, covariates_required=True):
+def _add_input_args(p):
     p.add_argument("--input", required=True, help="cohort CSV path")
     p.add_argument("--outcome-col", default="y")
     p.add_argument("--exposure1-col", default="z1")
     p.add_argument("--exposure2-col", default="z2")
-    p.add_argument("--covariate-cols", default="",
-                   required=covariates_required,
+    p.add_argument("--covariate-cols", required=True,
                    help="comma list of covariate column names, in order")
 
 
@@ -76,12 +78,34 @@ def _provenance(args, extra=None):
     return meta
 
 
-def cmd_describe(args) -> int:
+def _inputs(args):
+    """The parsed --model and the loaded --input cohort, as (spec, cohort)."""
     try:
-        cohort = load_cohort(args.input, _schema_from_args(args))
-    except DataError as e:
-        return _error_json(EXIT_DATA, e)
-    table = describe(cohort)
+        spec = ModelSpec.parse(args.model)
+    except ValueError as e:
+        raise DataError(str(e)) from None
+    return spec, load_cohort(args.input, _schema_from_args(args))
+
+
+def _fit(spec, cohort, fit_json=None) -> FitResult:
+    """The fit read from fit_json if one is given, else a fresh cohort fit."""
+    if not fit_json:
+        X = build_design(cohort, spec)
+        y = [r.y for r in cohort.records]
+        return fit_logistic(X, y, term_names=spec.names)
+    try:
+        fit = FitResult.from_json(Path(fit_json).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise FitError(f"cannot use --fit-json {fit_json}: "
+                       f"{type(e).__name__}: {e}") from None
+    if tuple(fit.term_names) != spec.names:
+        raise FitError(f"fit terms {fit.term_names} do not match --model "
+                       f"{spec.names}")
+    return fit
+
+
+def cmd_describe(args) -> int:
+    table = describe(load_cohort(args.input, _schema_from_args(args)))
     if args.json:
         print(table.to_json())
     else:
@@ -90,17 +114,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        spec = ModelSpec.parse(args.model)
-        cohort = load_cohort(args.input, _schema_from_args(args))
-    except (DataError, ValueError) as e:
-        return _error_json(EXIT_DATA, e)
-    try:
-        X = build_design(cohort, spec)
-        y = [r.y for r in cohort.records]
-        fit = fit_logistic(X, y, term_names=spec.names)
-    except FitError as e:
-        return _error_json(EXIT_FIT, e)
+    fit = _fit(*_inputs(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = json.loads(fit.to_json())
@@ -112,39 +126,17 @@ def cmd_fit(args) -> int:
 
 def cmd_report(args) -> int:
     if args.draws < 1:
-        return _error_json(EXIT_INFERENCE, TooFewDraws(
-            f"--draws must be at least 1, got {args.draws}"))
+        raise TooFewDraws(f"--draws must be at least 1, got {args.draws}")
     if not 0.0 < args.alpha < 1.0:
-        return _error_json(EXIT_INFERENCE, InferenceError(
-            f"--alpha must lie in (0, 1), got {args.alpha}"))
-    try:
-        spec = ModelSpec.parse(args.model)
-        cohort = load_cohort(args.input, _schema_from_args(args))
-    except (DataError, ValueError) as e:
-        return _error_json(EXIT_DATA, e)
-    try:
-        if args.fit_json:
-            try:
-                fit = FitResult.from_json(Path(args.fit_json).read_text())
-            except (OSError, ValueError, KeyError, TypeError) as e:
-                raise FitError(f"cannot use --fit-json {args.fit_json}: "
-                               f"{type(e).__name__}: {e}") from None
-            if tuple(fit.term_names) != spec.names:
-                raise FitError(
-                    f"fit terms {fit.term_names} do not match --model "
-                    f"{spec.names}")
-        else:
-            X = build_design(cohort, spec)
-            y = [r.y for r in cohort.records]
-            fit = fit_logistic(X, y, term_names=spec.names)
-        std = StandardizationSet.from_cohort(cohort)
-        plug = effect_triple(fit.pi_hat, spec, std)
-        dist = effect_distribution(fit, spec, std, n_draws=args.draws,
-                                   seed=args.seed,
-                                   allow_jitter=args.allow_jitter,
-                                   workers=args.workers)
-    except FitError as e:
-        return _error_json(EXIT_FIT, e)
+        raise InferenceError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    spec, cohort = _inputs(args)
+    fit = _fit(spec, cohort, args.fit_json)
+    std = StandardizationSet.from_cohort(cohort)
+    plug = effect_triple(fit.pi_hat, spec, std)
+    dist = effect_distribution(fit, spec, std, n_draws=args.draws,
+                               seed=args.seed,
+                               allow_jitter=args.allow_jitter,
+                               workers=args.workers)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,13 +153,12 @@ def cmd_report(args) -> int:
         header = "# " + json.dumps(meta) + "\n"
         (out / name).write_text(header + text)
 
-    write_json("effects.json", {
-        "te1": plug.te1, "te2": plug.te2, "int": plug.int_})
+    points = {"te1": plug.te1, "te2": plug.te2, "int": plug.int_}
+    write_json("effects.json", points)
     write_text("draws.csv", dist.to_csv())
 
     errors = []
-    for which in ("te1", "te2", "int"):
-        point = {"te1": plug.te1, "te2": plug.te2, "int": plug.int_}[which]
+    for which, point in points.items():
         write_json(f"marginal_{which}.json",
                    marginal_report(dist, which, point).to_dict())
         write_text(f"hist_{which}.csv", histogram_csv(dist.component(which)))
@@ -183,17 +174,14 @@ def cmd_report(args) -> int:
         try:
             rep = tercile_report(dist, which)
             write_json(f"terciles_{which}.json", rep.to_dict())
-            cond = dist.component(which)
-            q1, q2 = rep.boundaries
-            for i, mask in enumerate((cond <= q1,
-                                      (cond > q1) & (cond <= q2),
-                                      cond > q2)):
-                write_text(f"hist_int_{which}_t{i + 1}.csv",
+            masks = tercile_masks(dist.component(which), rep.boundaries)
+            for i, mask in enumerate(masks, start=1):
+                write_text(f"hist_int_{which}_t{i}.csv",
                            histogram_csv(dist.int_[mask]))
-        except TooFewDraws as e:
+        except InferenceError as e:
             errors.append(e)
     if errors:
-        return _error_json(EXIT_INFERENCE, errors)
+        raise _Collected(*errors)
     print(f"wrote report bundle to {out}")
     return 0
 
@@ -222,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--json", action="store_true",
                    help="emit JSON instead of aligned text")
-    p.set_defaults(func=cmd_describe, model="")
+    p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("fit", help="fit the logistic model, write fit.json")
     _add_input_args(p)
@@ -256,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RiskdiffError as e:
+        code = next(code for cls, code in EXIT_CODES if isinstance(e, cls))
+        return _error_json(code, e.args if isinstance(e, _Collected) else [e])
 
 
 if __name__ == "__main__":

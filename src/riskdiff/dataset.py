@@ -14,7 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import EmptyFile, MissingColumn, MissingValue, NonBinaryValue
+from .errors import (DataError, EmptyFile, MissingColumn, MissingValue,
+                     NonBinaryValue)
 
 
 @dataclass(frozen=True)
@@ -84,31 +85,33 @@ def _parse_real(raw, row, column):
 
 def load_cohort(path, schema: ColumnSchema) -> Cohort:
     """Read a headered CSV into a Cohort, validating every cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        wanted = [schema.outcome, schema.exposure1, schema.exposure2,
-                  *schema.covariates]
-        for col in wanted:
-            if col not in header:
-                raise MissingColumn(col)
-        idx = {col: header.index(col) for col in wanted}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFile(f"{path} is empty")
+            header = [h.strip() for h in header]
+            wanted = [schema.outcome, schema.exposure1, schema.exposure2,
+                      *schema.covariates]
+            for col in wanted:
+                if col not in header:
+                    raise MissingColumn(col)
+            idx = {col: header.index(col) for col in wanted}
 
-        records = []
-        for rownum, row in enumerate(reader, start=1):
-            def cell(col):
-                j = idx[col]
-                return row[j] if j < len(row) else None
+            records = []
+            for rownum, row in enumerate(reader, start=1):
+                def cell(col):
+                    j = idx[col]
+                    return row[j] if j < len(row) else None
 
-            y = _parse_binary(cell(schema.outcome), rownum, schema.outcome)
-            z1 = _parse_binary(cell(schema.exposure1), rownum, schema.exposure1)
-            z2 = _parse_binary(cell(schema.exposure2), rownum, schema.exposure2)
-            x = tuple(_parse_real(cell(c), rownum, c) for c in schema.covariates)
-            records.append(SubjectRecord(y=y, z1=z1, z2=z2, x=x))
+                y = _parse_binary(cell(schema.outcome), rownum, schema.outcome)
+                z1 = _parse_binary(cell(schema.exposure1), rownum, schema.exposure1)
+                z2 = _parse_binary(cell(schema.exposure2), rownum, schema.exposure2)
+                x = tuple(_parse_real(cell(c), rownum, c) for c in schema.covariates)
+                records.append(SubjectRecord(y=y, z1=z1, z2=z2, x=x))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"cannot read {path}: {e}") from None
 
     if not records:
         raise EmptyFile(f"{path} contains a header but no data rows")

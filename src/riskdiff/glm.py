@@ -105,12 +105,6 @@ class ModelSpec:
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.terms)
 
-    def index_of(self, kind: str) -> int | None:
-        for i, t in enumerate(self.terms):
-            if t.kind == kind:
-                return i
-        return None
-
     @classmethod
     def parse(cls, text: str) -> "ModelSpec":
         """Parse a comma list like "z1,z2,z1*z2,x1,x2,x3,z1*x1".

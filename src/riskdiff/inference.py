@@ -8,7 +8,6 @@ tercile the conditioning effect estimate fell into.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -168,6 +167,12 @@ class TercileReport:
         }
 
 
+def tercile_masks(cond, boundaries):
+    """Lower, middle and upper tercile strata of cond, closed on the right."""
+    q1, q2 = boundaries
+    return cond <= q1, (cond > q1) & (cond <= q2), cond > q2
+
+
 def tercile_report(dist: EffectDistribution, conditioning: str) -> TercileReport:
     """Interaction intervals conditional on terciles of te1 or te2 draws.
 
@@ -186,7 +191,11 @@ def tercile_report(dist: EffectDistribution, conditioning: str) -> TercileReport
     ints = dist.int_
     q1 = quantile(cond, 1.0 / 3.0)
     q2 = quantile(cond, 2.0 / 3.0)
-    masks = (cond <= q1, (cond > q1) & (cond <= q2), cond > q2)
+    masks = tercile_masks(cond, (q1, q2))
+    for label, m in zip(("lower", "middle", "upper"), masks):
+        if not m.any():
+            raise EmptySamples(f"the {label} {conditioning} tercile holds no "
+                               f"draws: the draws tie at its boundaries")
     strata = []
     for m in masks:
         s = ints[m]
@@ -236,7 +245,3 @@ def ellipse_csv(ellipse: ConfidenceEllipse, n_points: int = 64) -> str:
     for x, y in pts:
         lines.append(f"{float(x)!r},{float(y)!r}")
     return "\n".join(lines) + "\n"
-
-
-def report_json(obj) -> str:
-    return json.dumps(obj, indent=2)

@@ -14,7 +14,6 @@ chunking or parallel schedule.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +141,6 @@ class EffectDistribution:
             lines.append(f"{i},{float(self.te1[i])!r},"
                          f"{float(self.te2[i])!r},{float(self.int_[i])!r}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            **self.metadata(),
-            "te1": self.te1.tolist(),
-            "te2": self.te2.tolist(),
-            "int": self.int_.tolist(),
-        })
 
 
 def fit_identity_hash(fit: FitResult) -> str:

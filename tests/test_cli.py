@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +260,71 @@ class TestVersionProvenance:
         assert code == 0
         payload = json.loads((tmp_path / "effects.json").read_text())
         assert payload["provenance"]["version"].startswith("riskdiff ")
+
+
+class TestUnreadableInput:
+    """An --input that cannot be opened or decoded exits 2, writing nothing."""
+
+    @pytest.fixture(params=["missing", "non-utf8"])
+    def bad_input(self, request, tmp_path):
+        p = tmp_path / "cohort.csv"
+        if request.param == "non-utf8":
+            p.write_bytes(b"survival,large_hospital\n\xff\xfe,1\n")
+        return p
+
+    @pytest.mark.parametrize("command", ["describe", "fit", "report"])
+    def test_exit_2(self, command, bad_input, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--input", str(bad_input), *COLS]
+        if command != "describe":
+            argv += ["--model", MODEL, "--out", str(out)]
+        if command == "report":
+            argv += ["--seed", "1"]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert payload["errors"][0]["error"] == "DataError"
+        assert str(bad_input) in payload["errors"][0]["message"]
+        assert stdout == ""
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestTiedTerciles:
+    def test_zero_covariance_exit_4_with_one_json_object(self, fixture_dir,
+                                                         tmp_path, capsys):
+        d = json.loads((fixture_dir / "cardia_fit.json").read_text())
+        d["covariance"] = [0.0] * len(d["covariance"])
+        fit_json = tmp_path / "fit.json"
+        fit_json.write_text(json.dumps(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["report",
+                                "--input",
+                                str(fixture_dir / "cardia_cohort.csv"),
+                                *COLS, "--model", MODEL,
+                                "--fit-json", str(fit_json),
+                                "--seed", "1", "--draws", "40",
+                                "--out", str(tmp_path / "out")], capsys)
+        assert code == 4
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["exit_code"] == 4
+        names = {e["error"] for e in payload["errors"]}
+        assert names == {"DegenerateCloud", "EmptySamples"}
+
+
+class TestTracedBenchmarkNames:
+    """perfbench/traced_cli.py wraps these attributes; they must exist."""
+
+    def test_cli_calls_are_callable(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        from riskdiff import cli
+        from riskdiff.montecarlo import EffectDistribution
+        missing = [name for name in spans.CLI_CALLS
+                   if not callable(getattr(cli, name, None))]
+        assert missing == []
+        assert callable(EffectDistribution.to_csv)

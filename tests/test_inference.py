@@ -1,6 +1,7 @@
 """Tests for quantiles, intervals, ellipses, terciles and the delta check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from riskdiff.inference import (
     marginal_report,
     percentile_ci,
     quantile,
+    tercile_masks,
     tercile_report,
 )
 from riskdiff.montecarlo import EffectDistribution, effect_distribution
@@ -334,3 +336,21 @@ class TestHistogramCsv:
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 21
         assert sum(int(l.split(",")[2]) for l in lines[1:]) == 500
+
+
+class TestTercileTies:
+    def test_masks_closed_on_the_right(self):
+        cond = np.array([0.0, 1.0, 1.5, 2.0, 3.0])
+        lower, middle, upper = tercile_masks(cond, (1.0, 2.0))
+        assert lower.tolist() == [True, True, False, False, False]
+        assert middle.tolist() == [False, False, True, True, False]
+        assert upper.tolist() == [False, False, False, False, True]
+
+    def test_tied_draws_raise_empty_samples_without_warnings(self):
+        rng = np.random.default_rng(4)
+        dist = make_dist(np.full(60, 0.25), rng.normal(size=60),
+                         rng.normal(size=60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySamples, match="middle te1 tercile"):
+                tercile_report(dist, "te1")
