@@ -61,6 +61,15 @@ class ColumnSchema:
     exposure2: str
     covariates: tuple[str, ...]
 
+    def __post_init__(self):
+        roles = [self.outcome, self.exposure1, self.exposure2,
+                 *self.covariates]
+        for col in roles:
+            if roles.count(col) > 1:
+                raise DataError(f"column {col!r} is given more than one "
+                                f"role; outcome, exposure and covariate "
+                                f"columns must be distinct")
+
 
 def _parse_binary(raw, row, column):
     if raw is None or raw.strip() == "":
@@ -86,7 +95,7 @@ def _parse_real(raw, row, column):
 def load_cohort(path, schema: ColumnSchema) -> Cohort:
     """Read a headered CSV into a Cohort, validating every cell."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -5,15 +5,27 @@ N(pi_hat, sigma_hat) of the ML estimate and mapped through the effect
 functionals, giving an empirical approximation to the distribution of the
 estimated (te1, te2, int).
 
-Reproducibility contract: draw i is generated from a counter-based Philox
-stream keyed by (seed, i), with standard normals obtained by inverse-CDF
-transform of one uniform per variate. The result is bit-identical for any
-chunking or parallel schedule.
+Reproducibility contract: draw i of a k-term model takes its k standard
+normals from its own Philox4x64-10 stream (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), exactly numpy's
+``Generator(Philox(key=[seed % 2**64, i])).random(k)``:
+
+- key ``(seed mod 2**64, i)``; the counter starts at 1, so the stream is
+  the blocks for counters ``[1,0,0,0], [2,0,0,0], ...`` (ceil(k/4) blocks);
+- each block gives four 64-bit words, used in order v0..v3, and word x
+  becomes the uniform ``(x >> 11) * 2**-53``;
+- a uniform of exactly 0.0 becomes ``2**-53``, and normal j is
+  ``ndtri`` of uniform j.
+
+The streams of a whole chunk of draws are computed at once in numpy
+``uint64`` arithmetic, and the result is bit-identical for any chunking or
+parallel schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +38,15 @@ from .glm import FitResult, ModelSpec
 
 JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 DEFAULT_N_DRAWS = 1000
+#: Most draws x standardization rows one chunk may evaluate at once; caps
+#: the effect kernel's (draws, rows) temporaries at 8 MB each.
+CHUNK_ELEMENTS = 1 << 20
+
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
 
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:
@@ -70,14 +91,53 @@ def _factor_with_jitter(sigma, allow_jitter):
     raise NotPositiveDefinite(pivot=-1)
 
 
-def _standard_normals(seed: int, index: int, k: int) -> np.ndarray:
-    """k standard normals for draw `index`, independent of any other draw."""
-    bg = np.random.Philox(key=np.array([seed % (1 << 64), index],
-                                       dtype=np.uint64))
-    u = np.random.Generator(bg).random(k)
+def _mulhilo(a, m):
+    """High and low 64-bit words of the 128-bit products a * m.
+
+    Done in 32-bit halves, since numpy has no 128-bit integers; the low
+    word is the wrapping uint64 product.
+    """
+    a_lo, a_hi = a & _LO32, a >> _U32
+    m_lo, m_hi = m & _LO32, m >> _U32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> _U32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * m_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    return hi, a * m
+
+
+def _philox_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """(stop - start, k) uniforms: row i - start is draw i's stream.
+
+    Reproduces numpy's Philox(key=[seed % 2**64, i]).random(k) bit for bit
+    (see the module docstring), for all draws of the chunk at once.
+    """
+    n, blocks = stop - start, -(-k // 4)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (n, 1))
+    c1 = c2 = c3 = np.zeros((n, blocks), dtype=np.uint64)
+    k0 = seed % (1 << 64)  # a Python int: uint64 scalars warn on wrapping
+    k1 = (np.uint64(start) + np.arange(n, dtype=np.uint64))[:, None]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % (1 << 64)
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(n, 4 * blocks)
+    return (words[:, :k] >> np.uint64(11)) * 0.5 ** 53
+
+
+def _normals(seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """(stop - start, k) standard normals for draws start..stop-1."""
+    u = _philox_uniforms(seed, start, stop, k)
     # random() can return exactly 0.0, whose normal quantile is -inf
     u[u == 0.0] = 0.5 ** 53
     return ndtri(u)
+
+
+def _standard_normals(seed: int, index: int, k: int) -> np.ndarray:
+    """k standard normals for draw `index`, independent of any other draw."""
+    return _normals(seed, index, index + 1, k)[0]
 
 
 def _draws(pi_hat, L, seed: int, start: int, stop: int) -> np.ndarray:
@@ -89,9 +149,7 @@ def _draws(pi_hat, L, seed: int, start: int, stop: int) -> np.ndarray:
     depend on chunk size and break the determinism contract.
     """
     k = len(pi_hat)
-    z = np.empty((stop - start, k))
-    for i in range(start, stop):
-        z[i - start] = _standard_normals(seed, i, k)
+    z = _normals(seed, start, stop, k)
     acc = np.zeros_like(z)
     for j in range(k):
         acc += z[:, j, None] * L[None, :, j]
@@ -166,7 +224,9 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
 
     Evaluation is chunked for memory and parallelism; neither chunking nor
     worker count can change the result because each draw owns its own RNG
-    substream.
+    substream. A chunk holds at most chunk_size draws and at most
+    CHUNK_ELEMENTS draw-by-row evaluations; at most one process per CPU
+    and per chunk is started.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -174,12 +234,14 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
     te1 = np.empty(n_draws)
     te2 = np.empty(n_draws)
     int_ = np.empty(n_draws)
+    per_chunk = max(1, min(chunk_size, CHUNK_ELEMENTS // std.n))
     chunks = [(fit.pi_hat, L, spec, std, seed, start,
-               min(start + chunk_size, n_draws))
-              for start in range(0, n_draws, chunk_size)]
-    if workers > 1 and len(chunks) > 1:
+               min(start + per_chunk, n_draws))
+              for start in range(0, n_draws, per_chunk)]
+    processes = min(workers, os.cpu_count() or 1, len(chunks))
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_eval_chunk, chunks))
     else:
         results = [_eval_chunk(c) for c in chunks]

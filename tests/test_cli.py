@@ -58,6 +58,25 @@ class TestDescribe:
         assert payload["exit_code"] == 2
         assert payload["errors"][0]["error"] == "MissingColumn"
 
+    def test_byte_order_mark_accepted(self, fixture_dir, tmp_path, capsys):
+        plain = fixture_dir / "cardia_cohort.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(["describe", "--input", str(plain), *COLS], capsys)
+        assert expected[0] == 0
+        assert run(["describe", "--input", str(bom), *COLS],
+                   capsys) == expected
+
+    def test_column_in_two_roles_exit_2(self, fixture_dir, capsys):
+        code, out, err = run(["describe", "--input",
+                              str(fixture_dir / "cardia_cohort.csv"), *COLS,
+                              "--exposure1-col", "survival"], capsys)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert payload["errors"][0]["error"] == "DataError"
+        assert "'survival'" in payload["errors"][0]["message"]
+
 
 class TestFit:
     def test_writes_fit_json(self, fixture_dir, tmp_path, capsys):

@@ -1,16 +1,23 @@
 """Tests for Cholesky factorization and the Monte Carlo draw pipeline."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
+from riskdiff import montecarlo
 from riskdiff.effects import StandardizationSet, effect_triple
 from riskdiff.errors import NotPositiveDefinite
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec, expit_stable
 from riskdiff.montecarlo import (
+    CHUNK_ELEMENTS,
     EffectDistribution,
+    _draws,
+    _normals,
     _standard_normals,
     cholesky,
     effect_distribution,
@@ -94,6 +101,38 @@ class TestStandardNormals:
         z = np.concatenate([_standard_normals(9, i, 8) for i in range(2000)])
         assert abs(z.mean()) < 4 / np.sqrt(len(z))
         assert abs(z.std() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("k", [1, 4, 5, 8, 9, 13])
+    def test_matches_numpy_philox(self, k):
+        # draw i's normals are ndtri of numpy's Philox(key=[seed, i]) stream;
+        # k > 4 spans several counter blocks
+        def reference(seed, i):
+            key = np.array([seed % 2 ** 64, i], dtype=np.uint64)
+            u = np.random.Generator(np.random.Philox(key=key)).random(k)
+            return ndtri(np.maximum(u, 0.5 ** 53))
+
+        rng = np.random.default_rng(k)
+        seeds = [0, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5,
+                 *rng.integers(-2 ** 62, 2 ** 62, 4).tolist(),
+                 *(2 ** 63 + s for s in rng.integers(0, 2 ** 62, 2).tolist())]
+        for seed in seeds:
+            for start in (0, 11, 2 ** 63 - 2, 2 ** 63 + 1):
+                chunk = _normals(seed, start, start + 4, k)
+                assert chunk.shape == (4, k)
+                for j in range(4):
+                    ref = reference(seed, start + j)
+                    assert np.array_equal(chunk[j], ref)
+                    assert np.array_equal(
+                        _standard_normals(seed, start + j, k), ref)
+
+    def test_draws_match_one_draw_loop(self):
+        fit = cardia_fit()
+        L = cholesky(fit.sigma_hat)
+        for seed, start, stop in ((4, 0, 37), (-9, 1000, 1013)):
+            chunk = _draws(fit.pi_hat, L, seed, start, stop)
+            loop = [_draws(fit.pi_hat, L, seed, i, i + 1)[0]
+                    for i in range(start, stop)]
+            assert np.array_equal(chunk, np.array(loop))
 
 
 class TestSampleParameters:
@@ -205,6 +244,60 @@ class TestEffectDistribution:
         assert np.array_equal(serial.te1, parallel.te1)
         assert np.array_equal(serial.te2, parallel.te2)
         assert np.array_equal(serial.int_, parallel.int_)
+
+    def test_chunks_cap_rows_times_draws(self, monkeypatch):
+        seen = []
+        batch = montecarlo.effect_triples_batch
+
+        def recording(pis, spec, std):
+            seen.append(len(pis) * std.n)
+            return batch(pis, spec, std)
+
+        monkeypatch.setattr(montecarlo, "effect_triples_batch", recording)
+        fit = make_fit([-0.5, 0.4, 0.8, -0.3], 0.04 * np.eye(4),
+                       names=SAT_MODEL.names)
+        rows = np.random.default_rng(0).normal(size=(5000, 1))
+        effect_distribution(fit, SAT_MODEL, StandardizationSet(rows=rows),
+                            n_draws=500, seed=1)
+        assert sum(seen) == 500 * 5000
+        assert max(seen) <= CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("workers, cpus, processes", [
+        (10 ** 6, 3, 3),      # capped by the CPU count
+        (10 ** 6, 64, 4),     # capped by the number of chunks
+        (2, 64, 2),
+        (3, None, None),      # unknown CPU count: one process, no pool
+        (1, 64, None),
+    ])
+    def test_pool_size_capped(self, monkeypatch, workers, cpus, processes):
+        started = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process: starts none."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        fit = cardia_fit()
+        std = StandardizationSet.from_cohort(cardia_cohort())
+        dist = effect_distribution(fit, CARDIA_MODEL, std, n_draws=200,
+                                   seed=8, chunk_size=50, workers=workers)
+        serial = effect_distribution(fit, CARDIA_MODEL, std, n_draws=200,
+                                     seed=8, chunk_size=50)
+        assert started[:1] == ([] if processes is None else [processes])
+        assert np.array_equal(dist.int_, serial.int_)
 
     def test_mean_stability_across_seeds(self):
         fit = cardia_fit()
