@@ -104,6 +104,17 @@ def _fit(spec, cohort, fit_json=None) -> FitResult:
     return fit
 
 
+def _out_dir(path) -> Path:
+    """The --out directory, created with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create --out {path}: "
+                        f"{type(e).__name__}: {e}") from None
+    return out
+
+
 def cmd_describe(args) -> int:
     table = describe(load_cohort(args.input, _schema_from_args(args)))
     if args.json:
@@ -115,8 +126,7 @@ def cmd_describe(args) -> int:
 
 def cmd_fit(args) -> int:
     fit = _fit(*_inputs(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     payload = json.loads(fit.to_json())
     payload["provenance"] = _provenance(args)
     (out / "fit.json").write_text(json.dumps(payload, indent=2))
@@ -138,8 +148,7 @@ def cmd_report(args) -> int:
                                allow_jitter=args.allow_jitter,
                                workers=args.workers)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     meta = _provenance(args, {
         "seed": args.seed, "n_draws": args.draws, "alpha": args.alpha,
         "jitter": dist.jitter, "source_hash": dist.source_hash,
@@ -188,8 +197,7 @@ def cmd_report(args) -> int:
 
 def cmd_fixture(args) -> int:
     """Write the bundled cohort reconstruction and its fixture fit to disk."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     save_cohort(cardia_cohort(), out / "cardia_cohort.csv", CARDIA_SCHEMA)
     (out / "cardia_fit.json").write_text(cardia_fit().to_json())
     print(f"wrote {out / 'cardia_cohort.csv'} and {out / 'cardia_fit.json'}")

@@ -17,6 +17,7 @@ evaluated and asserted to agree, which guards term-indexing mistakes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,19 @@ class StandardizationSet:
     def n(self) -> int:
         return self.rows.shape[0]
 
+    @cached_property
+    def distinct(self):
+        """(distinct rows, inverse) with rows == distinct[inverse].
+
+        Rows are compared by their exact bytes, so 0.0 and -0.0 stay apart
+        and a duplicate row is one whose every risk is bit-identical to its
+        representative's. Built once per set and pickled with it.
+        """
+        rows = np.ascontiguousarray(self.rows, dtype=float)
+        _, first, inverse = np.unique(rows.view(np.uint64), axis=0,
+                                      return_index=True, return_inverse=True)
+        return rows[first], inverse
+
 
 @dataclass(frozen=True)
 class EffectTriple:
@@ -67,6 +81,12 @@ def _linear_predictors(pi, spec: ModelSpec, z1, z2, rows):
     one in model order (never via matrix multiplication) so the bits of the
     result cannot depend on how many vectors are stacked -- this is what
     makes Monte Carlo output invariant to chunking and parallelism.
+
+    The leading terms that are equal on every row (intercept, z1, z2 and
+    z1*z2 at a fixed cell) are summed once per vector, in the same order.
+    All-zero columns are skipped: with finite coefficients they only add
+    +-0, which can at most flip the sign of a zero predictor, and both
+    zeros have risk 0.5.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.shape[-1] != spec.k:
@@ -74,10 +94,30 @@ def _linear_predictors(pi, spec: ModelSpec, z1, z2, rows):
             f"coefficient vector has length {pi.shape[-1]}, model has {spec.k} terms"
         )
     cols = design_columns(spec, z1, z2, rows)
-    eta = np.zeros(pi.shape[:-1] + (cols.shape[1],))
-    for j in range(spec.k):
-        eta += pi[..., j, None] * cols[j]
+    live = [j for j in range(spec.k) if cols[j].any()]
+    lead = np.zeros(pi.shape[:-1])
+    while live and not spec.terms[live[0]].covariate:
+        j = live.pop(0)
+        lead += pi[..., j] * cols[j, 0]
+    eta = np.repeat(lead[..., None], cols.shape[1], axis=-1)
+    tmp = np.empty_like(eta)
+    for j in live:
+        eta += np.multiply(pi[..., j, None], cols[j], out=tmp)
     return eta
+
+
+def _mean_risk(pi, spec: ModelSpec, z1, z2, std: StandardizationSet):
+    """mean_i expit(d_i(z1, z2) . pi) over every subject row of std.
+
+    Each distinct row's risk is computed once and gathered back into subject
+    order, so the mean sums the same values in the same order as a
+    per-subject evaluation. np.take keeps the gathered (d, n) array
+    C-ordered; mu[..., inverse] would not, and np.mean would then add in
+    another order.
+    """
+    distinct, inverse = std.distinct
+    mu = expit_stable(_linear_predictors(pi, spec, z1, z2, distinct))
+    return np.mean(np.take(mu, inverse, axis=-1), axis=-1)
 
 
 def risk(pi, spec: ModelSpec, z1, z2, x) -> float:
@@ -88,8 +128,7 @@ def risk(pi, spec: ModelSpec, z1, z2, x) -> float:
 
 def marginal_risk(pi, spec: ModelSpec, z1, z2, std: StandardizationSet) -> float:
     """Risk standardized over the cohort's empirical covariate distribution."""
-    eta = _linear_predictors(pi, spec, z1, z2, std.rows)
-    return float(np.mean(expit_stable(eta), axis=-1))
+    return float(_mean_risk(pi, spec, z1, z2, std))
 
 
 def effect_triple(pi, spec: ModelSpec, std: StandardizationSet) -> EffectTriple:
@@ -105,10 +144,8 @@ def effect_triples_batch(pis, spec: ModelSpec, std: StandardizationSet):
 
     The dual-interaction identity is asserted for every vector.
     """
-    m00, m10, m01, m11 = (
-        np.mean(expit_stable(_linear_predictors(pis, spec, z1, z2, std.rows)),
-                axis=-1)
-        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    m00, m10, m01, m11 = (_mean_risk(pis, spec, z1, z2, std)
+                          for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)))
     te1 = m10 - m00
     te2 = m01 - m00
     int_via_te1 = (m11 - m01) - te1

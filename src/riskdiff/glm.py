@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .dataset import Cohort
 from .errors import (
@@ -284,14 +283,18 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
 
 
 def expit_stable(eta):
-    """Logistic transform that never overflows for large |eta|."""
+    """Logistic transform that never overflows for large |eta|.
+
+    With t = exp(-|eta|), this is 1 / (1 + t) for eta >= 0 and t / (1 + t)
+    otherwise: one exp and one divide per entry.
+    """
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    t = np.empty_like(eta)
+    np.exp(np.negative(np.abs(eta, out=t), out=t), out=t)
+    mu = np.where(eta >= 0, 1.0, t)
+    t += 1.0
+    mu /= t
+    return mu
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -304,6 +307,7 @@ def chi2_sf(x: float, df: int) -> float:
         return 1.0
     if df == 2:
         return float(np.exp(-x / 2.0))
+    from scipy.special import gammaincc  # on use: most commands need no scipy
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

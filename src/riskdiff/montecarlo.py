@@ -29,8 +29,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.special import ndtri
 
 from .effects import StandardizationSet, effect_triples_batch
 from .errors import NotPositiveDefinite
@@ -41,6 +39,9 @@ DEFAULT_N_DRAWS = 1000
 #: Most draws x standardization rows one chunk may evaluate at once; caps
 #: the effect kernel's (draws, rows) temporaries at 8 MB each.
 CHUNK_ELEMENTS = 1 << 20
+#: Draws per block of draws.csv: formatting .tolist() floats is faster than
+#: numpy scalars, and a block bounds how many are held at once.
+CSV_BLOCK = 4096
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -62,6 +63,7 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
     asym = np.max(np.abs(sigma - sigma.T)) if k else 0.0
     if asym > 1e-8 * max(np.max(np.abs(sigma)), 1.0):
         raise ValueError("matrix not symmetric within tolerance")
+    from scipy.linalg.lapack import dpotrf  # on use: most commands need no scipy
     L, info = dpotrf(sigma, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(pivot=info - 1)
@@ -129,6 +131,7 @@ def _philox_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
 
 def _normals(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     """(stop - start, k) standard normals for draws start..stop-1."""
+    from scipy.special import ndtri  # on use: most commands need no scipy
     u = _philox_uniforms(seed, start, stop, k)
     # random() can return exactly 0.0, whose normal quantile is -inf
     u[u == 0.0] = 0.5 ** 53
@@ -194,10 +197,14 @@ class EffectDistribution:
         }
 
     def to_csv(self) -> str:
+        """One line per draw; every value is the repr of its Python float."""
         lines = ["draw_index,te1,te2,int"]
-        for i in range(self.n_draws):
-            lines.append(f"{i},{float(self.te1[i])!r},"
-                         f"{float(self.te2[i])!r},{float(self.int_[i])!r}")
+        for start in range(0, self.n_draws, CSV_BLOCK):
+            block = slice(start, start + CSV_BLOCK)
+            lines += [f"{i},{a!r},{b!r},{c!r}" for i, a, b, c in zip(
+                range(start, self.n_draws),
+                *(np.asarray(v[block], dtype=float).tolist()
+                  for v in (self.te1, self.te2, self.int_)))]
         return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -331,6 +334,26 @@ class TestTiedTerciles:
         assert payload["exit_code"] == 4
         names = {e["error"] for e in payload["errors"]}
         assert names == {"DegenerateCloud", "EmptySamples"}
+
+
+class TestLazyScipy:
+    """scipy is imported only by the calls that need it (normal quantiles,
+    the Cholesky factor, chi-square tails), so `describe`, `fit` and
+    `fixture` start without paying for it."""
+
+    def test_import_and_fixture_leave_scipy_unloaded(self, tmp_path):
+        code = ("import sys, riskdiff.cli as cli; "
+                "assert 'scipy' not in sys.modules, 'import'; "
+                f"assert cli.main(['fixture', '--out', {str(tmp_path)!r}]) "
+                "== 0; "
+                "assert 'scipy' not in sys.modules, 'fixture'")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True)
+        assert (tmp_path / "cardia_cohort.csv").exists()
 
 
 class TestTracedBenchmarkNames:

@@ -111,3 +111,26 @@ def test_exit_code_contract(cohort_lines, command, edit, model, draws, alpha,
         if command == "report" and (draws < 1 or not 0.0 < alpha < 1.0):
             assert code == 4
             assert out_empty
+
+
+@pytest.mark.parametrize("command", ["fit", "report", "fixture"])
+def test_uncreatable_out_exit_2(cohort_lines, command, tmp_path):
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--out", str(blocker / "sub")]
+    if command != "fixture":
+        argv += ["--input", str(tmp_path / "cohort.csv"), *COLS,
+                 "--model", MODEL]
+    if command == "report":
+        argv += ["--seed", "1", "--draws", "40"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 2
+    err = json.loads(stderr.getvalue())
+    assert err["exit_code"] == 2
+    assert err["errors"][0]["error"] == "DataError"
+    assert "NotADirectoryError" in err["errors"][0]["message"]
+    assert blocker.read_text() == ""

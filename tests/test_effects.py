@@ -1,5 +1,7 @@
 """Tests for the standardized effect functionals."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from riskdiff.effects import (
 )
 from riskdiff.errors import DimensionMismatch
 from riskdiff.fixtures import cardia_cohort, cardia_fit
-from riskdiff.glm import CARDIA_MODEL, ModelSpec, expit_stable, fit_logistic
+from riskdiff.glm import (
+    CARDIA_MODEL,
+    ModelSpec,
+    Term,
+    design_columns,
+    expit_stable,
+    fit_logistic,
+)
 
 SAT_MODEL = ModelSpec.parse("z1,z2,z1*z2")  # exposure-saturated, no covariates
 
@@ -203,3 +212,117 @@ class TestEffectTripleType:
             EffectTriple(1.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             EffectTriple(0.0, 0.0, 2.5)
+
+
+# Reference kernel: the per-subject evaluation the effect functionals must
+# reproduce bit for bit -- every term added over every subject row in model
+# order, the masked two-branch logistic transform, and the mean over all rows.
+
+def _reference_expit(eta):
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _reference_mean_risk(pi, spec, z1, z2, rows):
+    pi = np.asarray(pi, dtype=float)
+    cols = design_columns(spec, z1, z2, rows)
+    eta = np.zeros(pi.shape[:-1] + (cols.shape[1],))
+    for j in range(spec.k):
+        eta += pi[..., j, None] * cols[j]
+    return np.mean(_reference_expit(eta), axis=-1)
+
+
+def _reference_triples(pis, spec, rows):
+    m00, m10, m01, m11 = (_reference_mean_risk(pis, spec, z1, z2, rows)
+                          for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    te1 = m10 - m00
+    te2 = m01 - m00
+    return te1, te2, (m11 - m01) - te1
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random model with all seven term kinds in random order, covariate
+    rows with forced duplicates and signed zeros, and a coefficient stack
+    whose predictors reach |eta| of several hundred."""
+    m = draw(st.integers(1, 3))
+    terms = [Term("intercept"), Term("z1"), Term("z2"), Term("z1z2")]
+    for kind in ("x", "z1x", "z2x"):
+        covs = draw(st.sets(st.integers(1, m), min_size=1))
+        terms += [Term(kind, covariate=c) for c in sorted(covs)]
+    spec = ModelSpec(tuple(draw(st.permutations(terms))))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                      st.floats(-10, 10, allow_nan=False))
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), m),
+                           elements=value))
+    base[draw(st.integers(0, len(base) - 1))] = 0.0
+    base[draw(st.integers(0, len(base) - 1))] = -0.0
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                          max_size=30))
+    rows = base[picks]
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+    d = draw(st.integers(1, 50))
+    pis = scale * draw(hnp.arrays(np.float64, (d, spec.k),
+                                  elements=st.floats(-1, 1)))
+    return spec, rows, pis
+
+
+class TestKernelBits:
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_subject_reference(self, case):
+        spec, rows, pis = case
+        std = StandardizationSet(rows)
+        got = effect_triples_batch(pis, spec, std)
+        want = _reference_triples(pis, spec, rows)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            assert np.array_equal(
+                marginal_risk(pis[0], spec, z1, z2, std),
+                _reference_mean_risk(pis[0], spec, z1, z2, rows))
+
+    def test_reaches_saturated_predictors(self):
+        # the strategy's coefficient scales drive the kernel past exp's range
+        spec = ModelSpec.parse("x1,z1,z2*x1,z1*z2,z2,z1*x1")
+        rows = np.array([[8.0], [-8.0], [0.0], [-0.0], [8.0]])
+        pis = np.linspace(-100.0, 100.0, 7 * spec.k).reshape(7, spec.k)
+        assert np.max(np.abs(pis @ design_columns(spec, 1, 1, rows))) > 800
+        got = effect_triples_batch(pis, spec, StandardizationSet(rows))
+        for g, w in zip(got, _reference_triples(pis, spec, rows)):
+            assert np.array_equal(g, w)
+
+    def test_expit_special_values(self):
+        eta = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 709.0,
+                        -709.0, 745.0, -745.0, -746.0, 800.0, -800.0,
+                        np.inf, -np.inf, np.nan])
+        got, want = expit_stable(eta), _reference_expit(eta)
+        finite = ~np.isnan(eta)
+        assert np.array_equal(got[finite].view(np.uint64),
+                              want[finite].view(np.uint64))
+        assert np.isnan(got[~finite]).all() and np.isnan(want[~finite]).all()
+
+    def test_distinct_rows_by_exact_bytes(self):
+        rows = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [np.nan, 2.0],
+                         [np.nan, 2.0]])
+        distinct, inverse = StandardizationSet(rows).distinct
+        assert len(distinct) == 3
+        assert np.array_equal(distinct[inverse].view(np.uint64),
+                              rows.view(np.uint64))
+
+    def test_pickled_set_keeps_cache_and_bits(self):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 3, size=(40, 3)).astype(float)
+        std = StandardizationSet(rows)
+        pis = rng.normal(size=(20, CARDIA_MODEL.k))
+        want = effect_triples_batch(pis, CARDIA_MODEL, std)
+        copy = pickle.loads(pickle.dumps(std))
+        assert "distinct" in vars(copy)
+        assert np.array_equal(copy.distinct[1], std.distinct[1])
+        for g, w in zip(effect_triples_batch(pis, CARDIA_MODEL, copy), want):
+            assert np.array_equal(g, w)

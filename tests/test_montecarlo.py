@@ -15,6 +15,7 @@ from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec, expit_stable
 from riskdiff.montecarlo import (
     CHUNK_ELEMENTS,
+    CSV_BLOCK,
     EffectDistribution,
     _draws,
     _normals,
@@ -334,6 +335,19 @@ class TestSerialization:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == dist.te1[0]  # repr round-trips exactly
+
+    def test_csv_is_per_element_repr(self):
+        n = 2 * CSV_BLOCK + 3
+        rng = np.random.default_rng(6)
+        te1, te2, int_ = rng.normal(scale=0.3, size=(3, n))
+        te1[[0, CSV_BLOCK, n - 1]] = (-0.0, 5e-324, 0.1 + 0.2)
+        te2[CSV_BLOCK - 1:CSV_BLOCK + 1] = (0.0, -5e-324)
+        dist = EffectDistribution(te1=te1, te2=te2, int_=int_, n_draws=n,
+                                  seed=0, source_hash="x")
+        want = ["draw_index,te1,te2,int"] + [
+            f"{i},{float(te1[i])!r},{float(te2[i])!r},{float(int_[i])!r}"
+            for i in range(n)]
+        assert dist.to_csv() == "\n".join(want) + "\n"
 
     def test_metadata(self):
         dist = self._small_dist()
