@@ -79,20 +79,20 @@ def _provenance(args, extra=None):
 
 
 def _inputs(args):
-    """The parsed --model and the loaded --input cohort, as (spec, cohort)."""
+    """The parsed --model, the loaded --input and then the --out directory."""
     try:
         spec = ModelSpec.parse(args.model)
     except ValueError as e:
         raise DataError(str(e)) from None
-    return spec, load_cohort(args.input, _schema_from_args(args))
+    return (spec, load_cohort(args.input, _schema_from_args(args)),
+            _out_dir(args.out))
 
 
 def _fit(spec, cohort, fit_json=None) -> FitResult:
     """The fit read from fit_json if one is given, else a fresh cohort fit."""
     if not fit_json:
-        X = build_design(cohort, spec)
-        y = [r.y for r in cohort.records]
-        return fit_logistic(X, y, term_names=spec.names)
+        return fit_logistic(build_design(cohort, spec), cohort.y,
+                            term_names=spec.names)
     try:
         fit = FitResult.from_json(Path(fit_json).read_text())
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -104,15 +104,23 @@ def _fit(spec, cohort, fit_json=None) -> FitResult:
     return fit
 
 
+def _os_call(action, fn, *args, **kwargs):
+    """fn(*args, **kwargs); an OSError becomes DataError "cannot <action>"."""
+    try:
+        return fn(*args, **kwargs)
+    except OSError as e:
+        raise DataError(f"cannot {action}: {type(e).__name__}: {e}") from None
+
+
 def _out_dir(path) -> Path:
     """The --out directory, created with its parents if missing."""
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise DataError(f"cannot create --out {path}: "
-                        f"{type(e).__name__}: {e}") from None
+    _os_call(f"create --out {path}", out.mkdir, parents=True, exist_ok=True)
     return out
+
+
+def _write_text(path, text):
+    _os_call(f"write {path}", path.write_text, text)
 
 
 def cmd_describe(args) -> int:
@@ -125,11 +133,11 @@ def cmd_describe(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    fit = _fit(*_inputs(args))
-    out = _out_dir(args.out)
+    spec, cohort, out = _inputs(args)
+    fit = _fit(spec, cohort)
     payload = json.loads(fit.to_json())
     payload["provenance"] = _provenance(args)
-    (out / "fit.json").write_text(json.dumps(payload, indent=2))
+    _write_text(out / "fit.json", json.dumps(payload, indent=2))
     print(f"wrote {out / 'fit.json'}")
     return 0
 
@@ -139,7 +147,7 @@ def cmd_report(args) -> int:
         raise TooFewDraws(f"--draws must be at least 1, got {args.draws}")
     if not 0.0 < args.alpha < 1.0:
         raise InferenceError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    spec, cohort = _inputs(args)
+    spec, cohort, out = _inputs(args)
     fit = _fit(spec, cohort, args.fit_json)
     std = StandardizationSet.from_cohort(cohort)
     plug = effect_triple(fit.pi_hat, spec, std)
@@ -147,20 +155,17 @@ def cmd_report(args) -> int:
                                seed=args.seed,
                                allow_jitter=args.allow_jitter,
                                workers=args.workers)
-
-    out = _out_dir(args.out)
     meta = _provenance(args, {
         "seed": args.seed, "n_draws": args.draws, "alpha": args.alpha,
         "jitter": dist.jitter, "source_hash": dist.source_hash,
     })
 
     def write_json(name, payload):
-        (out / name).write_text(json.dumps(
-            {"provenance": meta, **payload}, indent=2))
+        _write_text(out / name, json.dumps({"provenance": meta, **payload},
+                                           indent=2))
 
     def write_text(name, text):
-        header = "# " + json.dumps(meta) + "\n"
-        (out / name).write_text(header + text)
+        _write_text(out / name, "# " + json.dumps(meta) + "\n" + text)
 
     points = {"te1": plug.te1, "te2": plug.te2, "int": plug.int_}
     write_json("effects.json", points)
@@ -198,8 +203,9 @@ def cmd_report(args) -> int:
 def cmd_fixture(args) -> int:
     """Write the bundled cohort reconstruction and its fixture fit to disk."""
     out = _out_dir(args.out)
-    save_cohort(cardia_cohort(), out / "cardia_cohort.csv", CARDIA_SCHEMA)
-    (out / "cardia_fit.json").write_text(cardia_fit().to_json())
+    _os_call(f"write {out / 'cardia_cohort.csv'}", save_cohort,
+             cardia_cohort(), out / "cardia_cohort.csv", CARDIA_SCHEMA)
+    _write_text(out / "cardia_fit.json", cardia_fit().to_json())
     print(f"wrote {out / 'cardia_cohort.csv'} and {out / 'cardia_fit.json'}")
     return 0
 

@@ -1,10 +1,9 @@
 """Cohort ingestion and descriptive cross-tabulation.
 
-A cohort is a list of subject records, each carrying a binary outcome,
-two binary exposures and a fixed-length vector of real covariates.
-Input is headered CSV with a user-supplied column mapping, so arbitrary
-column names work. Any malformed cell rejects the whole file; rows are
-never silently dropped.
+A cohort holds its subjects as columns: a binary outcome, two binary
+exposures and an n-by-m matrix of real covariates. Input is headered CSV
+with a user-supplied column mapping, so arbitrary column names work. Any
+malformed cell rejects the whole file; rows are never silently dropped.
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (DataError, EmptyFile, MissingColumn, MissingValue,
                      NonBinaryValue)
@@ -32,24 +33,41 @@ class SubjectRecord:
                 raise ValueError(f"{name} must be 0 or 1, got {v!r}")
 
 
-@dataclass(frozen=True)
 class Cohort:
-    records: tuple[SubjectRecord, ...]
-    covariate_names: tuple[str, ...]
+    """Subjects as read-only columns: 0/1 ints y, z1, z2, n-by-m floats x."""
 
-    def __post_init__(self):
-        if not self.records:
-            raise ValueError("cohort must contain at least one record")
-        k = len(self.covariate_names)
-        for r in self.records:
-            if len(r.x) != k:
-                raise ValueError(
-                    f"record has {len(r.x)} covariates, expected {k}"
-                )
+    def __init__(self, records, covariate_names):
+        columns = ([getattr(r, f) for r in records]
+                   for f in ("y", "z1", "z2", "x"))
+        vars(self).update(vars(Cohort.from_columns(*columns, covariate_names)))
+
+    @classmethod
+    def from_columns(cls, y, z1, z2, x, covariate_names) -> "Cohort":
+        """A cohort of read-only copies of y, z1, z2 (each 0 or 1) and x."""
+        x = np.array(x, dtype=float, order="C")
+        if len(y) == 0 or x.shape != (len(y), len(covariate_names)):
+            raise ValueError("x must be an (n, m) array with n >= 1")
+        y, z1, z2 = (np.array(c, dtype=int) for c in (y, z1, z2))
+        for col in (y, z1, z2, x):
+            col.flags.writeable = False
+        cohort = cls.__new__(cls)
+        vars(cohort).update(y=y, z1=z1, z2=z2, x=x, n=len(y),
+                            covariate_names=tuple(covariate_names))
+        return cohort
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Cohort is read-only")
 
     @property
-    def n(self) -> int:
-        return len(self.records)
+    def records(self) -> tuple[SubjectRecord, ...]:
+        """One SubjectRecord per subject, in row order."""
+        return tuple(map(SubjectRecord, self.y.tolist(), self.z1.tolist(),
+                         self.z2.tolist(), map(tuple, self.x.tolist())))
+
+    def __eq__(self, other):
+        return isinstance(other, Cohort) and (
+            (self.covariate_names, self.records)
+            == (other.covariate_names, other.records))
 
 
 @dataclass(frozen=True)
@@ -71,29 +89,23 @@ class ColumnSchema:
                                 f"columns must be distinct")
 
 
-def _parse_binary(raw, row, column):
+def _check_cell(raw, row, column, binary):
+    """Raise the DataError for a bad cell; raw is None past a row's end."""
     if raw is None or raw.strip() == "":
         raise MissingValue(row, column)
-    s = raw.strip()
-    if s not in ("0", "1"):
+    if binary and raw.strip() not in ("0", "1"):
         raise NonBinaryValue(row, column, raw)
-    return int(s)
-
-
-def _parse_real(raw, row, column):
-    if raw is None or raw.strip() == "":
-        raise MissingValue(row, column)
     try:
-        v = float(raw)
+        if not binary and math.isnan(float(raw)):
+            raise ValueError("NaN")
     except ValueError:
         raise MissingValue(row, column) from None
-    if math.isnan(v):
-        raise MissingValue(row, column)
-    return v
 
 
 def load_cohort(path, schema: ColumnSchema) -> Cohort:
     """Read a headered CSV into a Cohort, validating every cell."""
+    wanted = [schema.outcome, schema.exposure1, schema.exposure2,
+              *schema.covariates]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -101,30 +113,29 @@ def load_cohort(path, schema: ColumnSchema) -> Cohort:
             if header is None:
                 raise EmptyFile(f"{path} is empty")
             header = [h.strip() for h in header]
-            wanted = [schema.outcome, schema.exposure1, schema.exposure2,
-                      *schema.covariates]
             for col in wanted:
                 if col not in header:
                     raise MissingColumn(col)
-            idx = {col: header.index(col) for col in wanted}
-
-            records = []
-            for rownum, row in enumerate(reader, start=1):
-                def cell(col):
-                    j = idx[col]
-                    return row[j] if j < len(row) else None
-
-                y = _parse_binary(cell(schema.outcome), rownum, schema.outcome)
-                z1 = _parse_binary(cell(schema.exposure1), rownum, schema.exposure1)
-                z2 = _parse_binary(cell(schema.exposure2), rownum, schema.exposure2)
-                x = tuple(_parse_real(cell(c), rownum, c) for c in schema.covariates)
-                records.append(SubjectRecord(y=y, z1=z1, z2=z2, x=x))
+            rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"cannot read {path}: {e}") from None
-
-    if not records:
+    if not rows:
         raise EmptyFile(f"{path} contains a header but no data rows")
-    return Cohort(records=tuple(records), covariate_names=tuple(schema.covariates))
+    cols = [header.index(col) for col in wanted]
+    try:
+        y, z1, z2 = ([("0", "1").index(row[j].strip()) for row in rows]
+                     for j in cols[:3])
+        x = np.array([[float(row[j]) for row in rows] for j in cols[3:]])
+        if np.isnan(x).any():
+            raise ValueError("NaN covariate")
+    except (IndexError, ValueError):
+        # check again in file order, so the error names the first bad cell
+        for i, row in enumerate(rows, start=1):
+            for k, (col, j) in enumerate(zip(wanted, cols)):
+                _check_cell(row[j] if j < len(row) else None, i, col, k < 3)
+        raise
+    return Cohort.from_columns(y, z1, z2, x.reshape(-1, len(rows)).T,
+                               schema.covariates)
 
 
 def save_cohort(cohort: Cohort, path, schema: ColumnSchema) -> None:
@@ -200,16 +211,12 @@ class DescriptiveTable:
         return "\n".join(out)
 
 
-def _tabulate(records, predicate=None) -> CellCounts:
-    events = {k: 0 for k in _CELL_ORDER}
-    totals = {k: 0 for k in _CELL_ORDER}
-    for r in records:
-        if predicate is not None and not predicate(r):
-            continue
-        key = (r.z1, r.z2)
-        totals[key] += 1
-        events[key] += r.y
-    return CellCounts(events=events, totals=totals)
+def _tabulate(cohort: Cohort, mask=True) -> CellCounts:
+    cells = {k: (cohort.z1 == k[0]) & (cohort.z2 == k[1]) & mask
+             for k in _CELL_ORDER}
+    return CellCounts(events={k: int(cohort.y[c].sum())
+                              for k, c in cells.items()},
+                      totals={k: int(c.sum()) for k, c in cells.items()})
 
 
 def describe(cohort: Cohort, split_at: dict | None = None) -> DescriptiveTable:
@@ -220,24 +227,17 @@ def describe(cohort: Cohort, split_at: dict | None = None) -> DescriptiveTable:
     ``split_at`` overrides the threshold for named continuous covariates.
     """
     split_at = split_at or {}
-    overall = _tabulate(cohort.records)
     by_cov = {}
     split_values = {}
-    for j, name in enumerate(cohort.covariate_names):
-        values = [r.x[j] for r in cohort.records]
-        if set(values) <= {0.0, 1.0}:
-            by_cov[name] = {
-                f"{name}=0": _tabulate(cohort.records, lambda r: r.x[j] == 0),
-                f"{name}=1": _tabulate(cohort.records, lambda r: r.x[j] == 1),
-            }
+    for name, values in zip(cohort.covariate_names, cohort.x.T):
+        if np.all((values == 0) | (values == 1)):
+            levels = {f"{name}=0": values == 0, f"{name}=1": values == 1}
         else:
-            med = split_at.get(name, lower_median(values))
+            med = split_at.get(name, lower_median(values.tolist()))
             split_values[name] = med
-            by_cov[name] = {
-                f"{name}<={med:g}": _tabulate(cohort.records,
-                                              lambda r: r.x[j] <= med),
-                f"{name}>{med:g}": _tabulate(cohort.records,
-                                             lambda r: r.x[j] > med),
-            }
-    return DescriptiveTable(overall=overall, by_covariate=by_cov,
+            levels = {f"{name}<={med:g}": values <= med,
+                      f"{name}>{med:g}": values > med}
+        by_cov[name] = {label: _tabulate(cohort, mask)
+                        for label, mask in levels.items()}
+    return DescriptiveTable(overall=_tabulate(cohort), by_covariate=by_cov,
                             split_values=split_values)

@@ -40,7 +40,7 @@ class StandardizationSet:
 
     @classmethod
     def from_cohort(cls, cohort: Cohort) -> "StandardizationSet":
-        return cls(rows=np.array([r.x for r in cohort.records], dtype=float))
+        return cls(rows=cohort.x)
 
     @property
     def n(self) -> int:

@@ -40,7 +40,7 @@ from itertools import product
 
 import numpy as np
 
-from .dataset import Cohort, ColumnSchema, SubjectRecord
+from .dataset import Cohort, ColumnSchema
 from .glm import CARDIA_MODEL, FitResult, build_design, fit_logistic
 
 #: Canonical column names of the bundled cohort CSV.
@@ -144,7 +144,7 @@ def _joint_counts(m, n_a, n_f, n_r):
 
 def cardia_cohort() -> Cohort:
     """Deterministic 150-subject reconstruction of the cardia cancer cohort."""
-    records = []
+    rows = []
     for (z1, z2), cell in CELL_COUNTS.items():
         young, old = AGE_VALUES[(z1, z2)]
         for y in (1, 0):
@@ -153,20 +153,16 @@ def cardia_cohort() -> Cohort:
             for (age_le, female, rural), c in sorted(counts.items(),
                                                      reverse=True):
                 age = young if age_le else old
-                for _ in range(c):
-                    records.append(SubjectRecord(
-                        y=y, z1=z1, z2=z2,
-                        x=(age, float(1 - female), float(1 - rural))))
-    return Cohort(records=tuple(records),
-                  covariate_names=CARDIA_SCHEMA.covariates)
+                rows += [(y, z1, z2, age, 1 - female, 1 - rural)] * c
+    a = np.array(rows, dtype=float)
+    return Cohort.from_columns(*a[:, :3].T, a[:, 3:], CARDIA_SCHEMA.covariates)
 
 
 def cardia_fit() -> FitResult:
     """Fixture FitResult: published coefficients, reconstructed covariance."""
     cohort = cardia_cohort()
-    X = build_design(cohort, CARDIA_MODEL)
-    y = np.array([r.y for r in cohort.records], dtype=float)
-    refit = fit_logistic(X, y, term_names=CARDIA_MODEL.names)
+    refit = fit_logistic(build_design(cohort, CARDIA_MODEL), cohort.y,
+                         term_names=CARDIA_MODEL.names)
     return FitResult(pi_hat=PUBLISHED_COEFFICIENTS.copy(),
                      sigma_hat=refit.sigma_hat,
                      loglik=refit.loglik,

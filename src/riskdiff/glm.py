@@ -145,11 +145,8 @@ def design_columns(spec: ModelSpec, z1, z2, rows) -> np.ndarray:
 
 def build_design(cohort: Cohort, spec: ModelSpec) -> np.ndarray:
     """n-by-k design matrix with one column per model term."""
-    records = cohort.records
-    z1 = np.array([r.z1 for r in records], dtype=float)
-    z2 = np.array([r.z2 for r in records], dtype=float)
-    rows = np.array([r.x for r in records], dtype=float)
-    return np.ascontiguousarray(design_columns(spec, z1, z2, rows).T)
+    return np.ascontiguousarray(
+        design_columns(spec, cohort.z1, cohort.z2, cohort.x).T)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Whatever the cohort, model, draw count, alpha or fit file, `riskdiff` exits
 0, 2, 3 or 4. Exit 0 writes nothing to stderr; every other exit writes
 exactly one JSON object naming that code. Data and fit errors, and the
-up-front --draws/--alpha checks, write no output file.
+up-front --draws/--alpha checks, write no output file. An output directory
+or file that cannot be written exits 2 as a DataError naming its path.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from riskdiff import cli
 from riskdiff.cli import main
 from riskdiff.dataset import save_cohort
 from riskdiff.fixtures import CARDIA_SCHEMA, cardia_cohort, cardia_fit
@@ -134,3 +136,57 @@ def test_uncreatable_out_exit_2(cohort_lines, command, tmp_path):
     assert err["errors"][0]["error"] == "DataError"
     assert "NotADirectoryError" in err["errors"][0]["message"]
     assert blocker.read_text() == ""
+
+
+def _run(argv):
+    """(exit code, the one JSON error object or None) of one CLI run."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, json.loads(stderr.getvalue()) if stderr.getvalue() else None
+
+
+def _command_argv(command, tmp_path, out):
+    argv = [command, "--out", str(out)]
+    if command != "fixture":
+        argv += ["--input", str(tmp_path / "cohort.csv"), *COLS,
+                 "--model", MODEL]
+    if command == "report":
+        argv += ["--seed", "1", "--draws", "40"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_uncreatable_out_exits_before_fit_and_draws(cohort_lines, command,
+                                                    tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("called before --out was checked")
+
+    monkeypatch.setattr(cli, "fit_logistic", unreachable)
+    monkeypatch.setattr(cli, "effect_distribution", unreachable)
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    (tmp_path / "file").write_text("")
+    code, err = _run(_command_argv(command, tmp_path,
+                                   tmp_path / "file" / "sub"))
+    assert code == 2
+    assert err["errors"][0]["error"] == "DataError"
+
+
+@pytest.mark.parametrize("command", ["fit", "report", "fixture"])
+def test_unwritable_output_file_exit_2(cohort_lines, command, tmp_path):
+    """A directory in place of each file a command writes exits 2."""
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    good = tmp_path / "good"
+    assert _run(_command_argv(command, tmp_path, good)) == (0, None)
+    names = sorted(p.name for p in good.iterdir())
+    assert len(names) == {"fit": 1, "report": 20, "fixture": 2}[command]
+    for name in names:
+        out = tmp_path / f"blocked-{name}"
+        (out / name).mkdir(parents=True)
+        code, err = _run(_command_argv(command, tmp_path, out))
+        assert code == 2, name
+        assert err["exit_code"] == 2
+        assert err["errors"][0]["error"] == "DataError"
+        assert str(out / name) in err["errors"][0]["message"]
+        assert "IsADirectoryError" in err["errors"][0]["message"]
