@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DataError, EmptyFile, MissingColumn, MissingValue,
-                     NonBinaryValue)
+                     NonBinaryValue, NonFiniteValue)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,8 @@ def _check_cell(raw, row, column, binary):
             raise ValueError("NaN")
     except ValueError:
         raise MissingValue(row, column) from None
+    if not binary and math.isinf(float(raw)):
+        raise NonFiniteValue(row, column, raw)
 
 
 def load_cohort(path, schema: ColumnSchema) -> Cohort:
@@ -126,8 +128,8 @@ def load_cohort(path, schema: ColumnSchema) -> Cohort:
         y, z1, z2 = ([("0", "1").index(row[j].strip()) for row in rows]
                      for j in cols[:3])
         x = np.array([[float(row[j]) for row in rows] for j in cols[3:]])
-        if np.isnan(x).any():
-            raise ValueError("NaN covariate")
+        if not np.isfinite(x).all():
+            raise ValueError("NaN or infinite covariate")
     except (IndexError, ValueError):
         # check again in file order, so the error names the first bad cell
         for i, row in enumerate(rows, start=1):

@@ -26,6 +26,10 @@ from .errors import DimensionMismatch
 from .glm import ModelSpec, design_columns, expit_stable
 
 DUAL_INT_ATOL = 1e-12
+#: Most coefficient vectors x distinct covariate rows the effect kernel
+#: evaluates at once: each (draws, distinct rows) temporary of a block is
+#: 512 KB, so a block's products, predictors and risks stay in cache.
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,51 +77,64 @@ class EffectTriple:
             raise ValueError("interaction must lie in [-2, 2]")
 
 
-def _linear_predictors(pi, spec: ModelSpec, z1, z2, rows):
-    """Linear predictor for each covariate row at fixed (z1, z2).
+def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
+    """mean_i expit(d_i(z1, z2) . pi) over every subject row of std, per cell.
 
-    pi may be a single coefficient vector (k,) or a stack (d, k); the
-    result is (n,) or (d, n) accordingly. The terms are accumulated one by
-    one in model order (never via matrix multiplication) so the bits of the
-    result cannot depend on how many vectors are stacked -- this is what
-    makes Monte Carlo output invariant to chunking and parallelism.
+    pis is one coefficient vector (k,) or a stack (d, k); the result has one
+    row per (z1, z2) in cells, each shaped like pis without its last axis.
+    The bits of every value are those of a per-subject evaluation, whatever
+    the stack height:
 
-    The leading terms that are equal on every row (intercept, z1, z2 and
-    z1*z2 at a fixed cell) are summed once per vector, in the same order.
-    All-zero columns are skipped: with finite coefficients they only add
-    +-0, which can at most flip the sign of a zero predictor, and both
-    zeros have risk 0.5.
+    - Each distinct covariate row's risk is computed once and gathered back
+      into subject order with np.take, which keeps the gathered array
+      C-ordered, so np.mean adds the same values in the same order.
+    - The linear predictor adds the terms one by one in model order, never
+      by matrix multiplication. The leading terms that are equal on every
+      row (intercept, z1, z2 and z1*z2 at a fixed cell) are summed once per
+      vector. All-zero columns are skipped: with finite coefficients they
+      only add +-0, which can at most flip the sign of a zero predictor,
+      and both zeros have risk 0.5.
+    - The stack is walked in blocks of BLOCK_ELEMENTS // len(distinct)
+      vectors, so a block's (draws, distinct rows) temporaries stay in
+      cache. Within a block each product pi_j * column_j is formed once and
+      reused by every cell whose column j has the same bytes. All of these
+      are elementwise or per-row operations, so no bit depends on which
+      vectors share a block.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape[-1] != spec.k:
+    pis = np.asarray(pis, dtype=float)
+    if pis.shape[-1] != spec.k:
         raise DimensionMismatch(
-            f"coefficient vector has length {pi.shape[-1]}, model has {spec.k} terms"
+            f"coefficient vector has length {pis.shape[-1]}, model has {spec.k} terms"
         )
-    cols = design_columns(spec, z1, z2, rows)
-    live = [j for j in range(spec.k) if cols[j].any()]
-    lead = np.zeros(pi.shape[:-1])
-    while live and not spec.terms[live[0]].covariate:
-        j = live.pop(0)
-        lead += pi[..., j] * cols[j, 0]
-    eta = np.repeat(lead[..., None], cols.shape[1], axis=-1)
-    tmp = np.empty_like(eta)
-    for j in live:
-        eta += np.multiply(pi[..., j, None], cols[j], out=tmp)
-    return eta
-
-
-def _mean_risk(pi, spec: ModelSpec, z1, z2, std: StandardizationSet):
-    """mean_i expit(d_i(z1, z2) . pi) over every subject row of std.
-
-    Each distinct row's risk is computed once and gathered back into subject
-    order, so the mean sums the same values in the same order as a
-    per-subject evaluation. np.take keeps the gathered (d, n) array
-    C-ordered; mu[..., inverse] would not, and np.mean would then add in
-    another order.
-    """
     distinct, inverse = std.distinct
-    mu = expit_stable(_linear_predictors(pi, spec, z1, z2, distinct))
-    return np.mean(np.take(mu, inverse, axis=-1), axis=-1)
+    plans = []  # per cell: (lead terms, (j, key, column) of the other terms)
+    for z1, z2 in cells:
+        cols = design_columns(spec, z1, z2, distinct)
+        live = [j for j in range(spec.k) if cols[j].any()]
+        lead = []
+        while live and not spec.terms[live[0]].covariate:
+            lead.append(live.pop(0))
+        plans.append(([(j, cols[j, 0]) for j in lead],
+                      [(j, (j, cols[j].tobytes()), cols[j]) for j in live]))
+    stack = pis.reshape(-1, spec.k)
+    out = np.empty((len(cells), len(stack)))
+    step = max(1, BLOCK_ELEMENTS // len(distinct))
+    for start in range(0, len(stack), step):
+        p = stack[start:start + step]
+        products = {}
+        for c, (lead_terms, terms) in enumerate(plans):
+            lead = np.zeros(len(p))
+            for j, v in lead_terms:
+                lead += p[:, j] * v
+            eta = np.repeat(lead[:, None], len(distinct), axis=-1)
+            for j, key, col in terms:
+                if key not in products:
+                    products[key] = p[:, j, None] * col
+                eta += products[key]
+            mu = expit_stable(eta)
+            out[c, start:start + len(p)] = np.mean(
+                np.take(mu, inverse, axis=-1), axis=-1)
+    return out.reshape((len(cells),) + pis.shape[:-1])
 
 
 def risk(pi, spec: ModelSpec, z1, z2, x) -> float:
@@ -128,7 +145,7 @@ def risk(pi, spec: ModelSpec, z1, z2, x) -> float:
 
 def marginal_risk(pi, spec: ModelSpec, z1, z2, std: StandardizationSet) -> float:
     """Risk standardized over the cohort's empirical covariate distribution."""
-    return float(_mean_risk(pi, spec, z1, z2, std))
+    return float(_mean_risks(pi, spec, ((z1, z2),), std)[0])
 
 
 def effect_triple(pi, spec: ModelSpec, std: StandardizationSet) -> EffectTriple:
@@ -144,8 +161,8 @@ def effect_triples_batch(pis, spec: ModelSpec, std: StandardizationSet):
 
     The dual-interaction identity is asserted for every vector.
     """
-    m00, m10, m01, m11 = (_mean_risk(pis, spec, z1, z2, std)
-                          for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    m00, m10, m01, m11 = _mean_risks(
+        pis, spec, ((0, 0), (1, 0), (0, 1), (1, 1)), std)
     te1 = m10 - m00
     te2 = m01 - m00
     int_via_te1 = (m11 - m01) - te1

@@ -31,6 +31,16 @@ class NonBinaryValue(DataError):
         )
 
 
+class NonFiniteValue(DataError):
+    def __init__(self, row, column, value):
+        self.row = row
+        self.column = column
+        self.value = value
+        super().__init__(
+            f"column {column!r} must be finite but row {row} has {value!r}"
+        )
+
+
 class MissingValue(DataError):
     def __init__(self, row, column):
         self.row = row

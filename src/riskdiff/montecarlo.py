@@ -36,8 +36,10 @@ from .glm import FitResult, ModelSpec
 
 JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 DEFAULT_N_DRAWS = 1000
-#: Most draws x standardization rows one chunk may evaluate at once; caps
-#: the effect kernel's (draws, rows) temporaries at 8 MB each.
+#: Most draws x standardization rows one chunk may evaluate at once: it
+#: sizes the pool's tasks and caps the chunk's (draws, subjects) array of
+#: gathered risks at 8 MB. The kernel's smaller (draws, distinct rows)
+#: temporaries are bounded by effects.BLOCK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 20
 #: Draws per block of draws.csv: formatting .tolist() floats is faster than
 #: numpy scalars, and a block bounds how many are held at once.
@@ -232,8 +234,11 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
     Evaluation is chunked for memory and parallelism; neither chunking nor
     worker count can change the result because each draw owns its own RNG
     substream. A chunk holds at most chunk_size draws and at most
-    CHUNK_ELEMENTS draw-by-row evaluations; at most one process per CPU
-    and per chunk is started.
+    CHUNK_ELEMENTS draws x subject rows, which sizes the pool's tasks and
+    bounds the (draws, subjects) array of gathered risks; within a chunk
+    the effect kernel works in blocks of at most effects.BLOCK_ELEMENTS
+    draws x distinct rows. At most one process per CPU and per chunk is
+    started.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")

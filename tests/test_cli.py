@@ -312,6 +312,33 @@ class TestUnreadableInput:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestNonFiniteCovariate:
+    """An infinite covariate cell exits 2 naming its row, column and value."""
+
+    @pytest.mark.parametrize("command", ["describe", "fit", "report"])
+    def test_exit_2(self, command, fixture_dir, tmp_path, capsys):
+        lines = (fixture_dir / "cardia_cohort.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[3] = "inf"  # age
+        lines[4] = ",".join(cells)
+        p = tmp_path / "cohort.csv"
+        p.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--input", str(p), *COLS]
+        if command != "describe":
+            argv += ["--model", MODEL, "--out", str(out)]
+        if command == "report":
+            argv += ["--seed", "1", "--fit-json",
+                     str(fixture_dir / "cardia_fit.json")]
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (2, "")
+        error = json.loads(err)["errors"][0]
+        assert error["error"] == "NonFiniteValue"
+        assert error["message"] == \
+            "column 'age' must be finite but row 4 has 'inf'"
+        assert not out.exists()
+
+
 class TestTiedTerciles:
     def test_zero_covariance_exit_4_with_one_json_object(self, fixture_dir,
                                                          tmp_path, capsys):

@@ -66,7 +66,8 @@ def _perturb(lines, edit):
 
 
 # unedited cohorts are listed three times so that later stages get reached
-edits = st.tuples(st.sampled_from([None, None, None, "", "2", "abc", "drop"]),
+edits = st.tuples(st.sampled_from([None, None, None, "", "2", "abc", "inf",
+                                   "-Infinity", "drop"]),
                   st.integers(0, 149), st.integers(0, len(COLUMNS) - 1))
 terms = st.lists(st.sampled_from(TERMS), max_size=4)
 models = st.one_of(st.just(MODEL),

@@ -26,6 +26,7 @@ from riskdiff.errors import (
     MissingColumn,
     MissingValue,
     NonBinaryValue,
+    NonFiniteValue,
 )
 from riskdiff.fixtures import AGE_SPLIT, CARDIA_SCHEMA, cardia_cohort
 
@@ -60,6 +61,18 @@ class TestLoadCohort:
             load_cohort(p, SCHEMA)
         assert exc.value.row == 2
         assert exc.value.column == "y"
+
+    @pytest.mark.parametrize("cell", ["inf", " -Infinity ", "1e999"])
+    def test_non_finite_covariate_rejects_file(self, tmp_path, cell):
+        p = write_csv(tmp_path, "y,z1,z2,age,male,urban\n1,0,0,50,1,0\n"
+                                f"0,1,1,nan,0,1\n0,0,1,60,{cell},0\n")
+        with pytest.raises(MissingValue):  # NaN stays a missing value
+            load_cohort(p, SCHEMA)
+        p = write_csv(tmp_path, p.read_text().replace("nan", "61"))
+        with pytest.raises(NonFiniteValue) as exc:
+            load_cohort(p, SCHEMA)
+        assert (exc.value.row, exc.value.column, exc.value.value) == \
+            (3, "male", cell)
 
     def test_missing_column(self, tmp_path):
         p = write_csv(tmp_path, "y,z1,age,male,urban\n1,0,50,1,0\n")
@@ -103,6 +116,8 @@ def _parse_real(raw, row, column):
         raise MissingValue(row, column) from None
     if math.isnan(v):
         raise MissingValue(row, column)
+    if math.isinf(v):
+        raise NonFiniteValue(row, column, raw)
     return v
 
 
@@ -144,9 +159,9 @@ def per_row_load_cohort(path, schema: ColumnSchema) -> Cohort:
 BINARY = ("y", "z1", "z2")
 BINARY_OK = ["0", "1", " 0", "1 "]
 BINARY_ANY = BINARY_OK + ["1.0", "2", "", " ", "yes"]
-REAL_OK = ["0", "-0.0", "-2.5", "1e3", " 4.25 ", "inf", "-Infinity", "1_000",
-           "\uff11\uff12"]
-REAL_ANY = REAL_OK + ["nan", " nan ", "0x1p3", "", " ", "abc"]
+REAL_OK = ["0", "-0.0", "-2.5", "1e3", " 4.25 ", "1_000", "\uff11\uff12"]
+REAL_ANY = REAL_OK + ["nan", " nan ", "inf", "-Infinity", "0x1p3", "", " ",
+                      "abc"]
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from riskdiff import effects
 from riskdiff.dataset import Cohort, SubjectRecord
 from riskdiff.effects import (
     EffectTriple,
@@ -326,3 +327,20 @@ class TestKernelBits:
         assert np.array_equal(copy.distinct[1], std.distinct[1])
         for g, w in zip(effect_triples_batch(pis, CARDIA_MODEL, copy), want):
             assert np.array_equal(g, w)
+
+
+@pytest.fixture(scope="class", params=[1, 12])
+def small_blocks(request):
+    """Kernel blocks of at most 1 or 12 vectors x distinct rows, so that
+    the kernel cases span several blocks, often with a remainder block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(effects, "BLOCK_ELEMENTS", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestKernelBitsAcrossBlocks:
+    test_matches_per_subject_reference = \
+        TestKernelBits.test_matches_per_subject_reference
+    test_reaches_saturated_predictors = \
+        TestKernelBits.test_reaches_saturated_predictors

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from riskdiff import montecarlo
-from riskdiff.effects import StandardizationSet, effect_triple
+from riskdiff.effects import BLOCK_ELEMENTS, StandardizationSet, effect_triple
 from riskdiff.errors import NotPositiveDefinite
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec, expit_stable
@@ -27,6 +27,13 @@ from riskdiff.montecarlo import (
 )
 
 SAT_MODEL = ModelSpec.parse("z1,z2,z1*z2")
+
+
+def many_rows_std(n=3000):
+    """Covariate rows (age, male, urban) with a continuous age: all distinct."""
+    rng = np.random.default_rng(n)
+    return StandardizationSet(rows=np.column_stack(
+        [rng.normal(62, 11, n), rng.integers(0, 2, (n, 2))]).astype(float))
 
 
 def make_fit(pi, sigma, names=None):
@@ -245,6 +252,33 @@ class TestEffectDistribution:
         assert np.array_equal(serial.te1, parallel.te1)
         assert np.array_equal(serial.te2, parallel.te2)
         assert np.array_equal(serial.int_, parallel.int_)
+
+    def test_chunking_invariance_across_kernel_blocks(self):
+        # 3000 distinct rows: a kernel block holds 21 draws, so chunks of 100
+        # and of CHUNK_ELEMENTS // 3000 = 349 draws hold several blocks and
+        # a remainder; one-draw chunks never share a block
+        fit, std = cardia_fit(), many_rows_std()
+        step = BLOCK_ELEMENTS // len(std.distinct[0])
+        assert 1 < step < 100
+        assert 100 % step and (CHUNK_ELEMENTS // std.n) % step
+        base = effect_distribution(fit, CARDIA_MODEL, std, n_draws=400,
+                                   seed=3, chunk_size=1)
+        for chunk_size in (100, 10 ** 6):
+            alt = effect_distribution(fit, CARDIA_MODEL, std, n_draws=400,
+                                      seed=3, chunk_size=chunk_size)
+            for which in ("te1", "te2", "int"):
+                assert np.array_equal(base.component(which),
+                                      alt.component(which))
+
+    def test_worker_count_invariance_across_kernel_blocks(self):
+        fit, std = cardia_fit(), many_rows_std()
+        serial = effect_distribution(fit, CARDIA_MODEL, std, n_draws=400,
+                                     seed=8, workers=1)
+        parallel = effect_distribution(fit, CARDIA_MODEL, std, n_draws=400,
+                                       seed=8, chunk_size=100, workers=2)
+        for which in ("te1", "te2", "int"):
+            assert np.array_equal(serial.component(which),
+                                  parallel.component(which))
 
     def test_chunks_cap_rows_times_draws(self, monkeypatch):
         seen = []
