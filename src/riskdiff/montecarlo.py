@@ -17,14 +17,19 @@ numbers: as easy as 1, 2, 3", SC'11), exactly numpy's
 - a uniform of exactly 0.0 becomes ``2**-53``, and normal j is
   ``ndtri`` of uniform j.
 
-The streams of a whole chunk of draws are computed at once in numpy
-``uint64`` arithmetic, and the result is bit-identical for any chunking or
-parallel schedule.
+``ndtri`` is cephes' normal quantile (as in ``scipy.special.ndtri``): the
+same rational approximations, evaluated in the same order, with libm's
+``log`` taken through ``math.log``. The streams of a whole chunk of draws
+are computed at once in numpy ``uint64`` arithmetic, and the result is
+bit-identical for any chunking or parallel schedule. The covariance factor
+is a fixed-order column Cholesky built from elementwise operations, with
+no BLAS, so its bits do not depend on the installed linear algebra library.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -51,12 +56,47 @@ _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
+# cephes ndtri: sqrt(2 pi), the branch point exp(-2), and the coefficients
+# of the central (P0/Q0) and tail (P1/Q1 for 2 <= z < 8, P2/Q2 for z >= 8)
+# rational approximations; Q's leading 1 is implicit.
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T = sigma, factored by LAPACK dpotrf.
+    """Lower-triangular L with L @ L.T = sigma, in a fixed order with no BLAS.
 
-    Raises NotPositiveDefinite with the pivot index of the first
-    non-positive leading minor.
+    Reads only the lower triangle. Column j is
+    ``sigma[j:, j] - sum_p L[j:, p] * L[j, p]``, summed in order of p (the
+    order of reference LAPACK's dpotf2), then its first entry gives the
+    pivot ``L[j, j] = sqrt(col[0])`` and the rest are divided by it. Raises
+    NotPositiveDefinite with the index of the first pivot that is not
+    positive (NaN included).
     """
     sigma = np.asarray(sigma, dtype=float)
     k = sigma.shape[0]
@@ -65,10 +105,16 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
     asym = np.max(np.abs(sigma - sigma.T)) if k else 0.0
     if asym > 1e-8 * max(np.max(np.abs(sigma)), 1.0):
         raise ValueError("matrix not symmetric within tolerance")
-    from scipy.linalg.lapack import dpotrf  # on use: most commands need no scipy
-    L, info = dpotrf(sigma, lower=1, clean=1)
-    if info > 0:
-        raise NotPositiveDefinite(pivot=info - 1)
+    L = np.zeros((k, k))
+    for j in range(k):
+        acc = np.zeros(k - j)
+        for p in range(j):
+            acc += L[j:, p] * L[j, p]
+        col = sigma[j:, j] - acc
+        if not col[0] > 0.0:
+            raise NotPositiveDefinite(pivot=j)
+        L[j, j] = np.sqrt(col[0])
+        L[j + 1:, j] = col[1:] / L[j, j]
     return L
 
 
@@ -131,13 +177,63 @@ def _philox_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     return (words[:, :k] >> np.uint64(11)) * 0.5 ** 53
 
 
+def _polevl(x, coefs, monic=False):
+    """Horner's rule in cephes' order: polevl, or p1evl when monic.
+
+    p1evl's leading coefficient is an implicit 1, so coefs starts at the
+    next one.
+    """
+    a = x + coefs[0] if monic else coefs[0] * x + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        a *= x
+        a += c
+    return a
+
+
+def _libm_log(v):
+    """Natural log of each entry by libm, as C code calls it.
+
+    numpy's vectorized log may differ from libm in the last bit.
+    """
+    return np.fromiter(map(math.log, v.tolist()), float, len(v))
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of a 1-d u in (0, 1), bit-identical to cephes.
+
+    Each entry is computed only on its branch: the central rational
+    approximation for exp(-2) < y < 1 - exp(-2), otherwise the tail ones in
+    x = sqrt(-2 log y) with y the nearer tail probability, split at x = 8.
+    """
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(u)
+    is_central = y > _EXP_M2
+    central, tail = np.flatnonzero(is_central), np.flatnonzero(~is_central)
+    c = y.take(central) - 0.5
+    c2 = c * c
+    out.put(central, (c + c * (c2 * _polevl(c2, _NDTRI_P0)
+                                / _polevl(c2, _NDTRI_Q0, monic=True))) * _S2PI)
+    x = np.sqrt(-2.0 * _libm_log(y.take(tail)))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(x)
+    is_near = x < 8.0
+    for part, p, q in ((np.flatnonzero(is_near), _NDTRI_P1, _NDTRI_Q1),
+                       (np.flatnonzero(~is_near), _NDTRI_P2, _NDTRI_Q2)):
+        zp = z.take(part)
+        x1.put(part, zp * _polevl(zp, p) / _polevl(zp, q, monic=True))
+    x = x0 - x1
+    out.put(tail, np.where(upper.take(tail), x, -x))
+    return out
+
+
 def _normals(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     """(stop - start, k) standard normals for draws start..stop-1."""
-    from scipy.special import ndtri  # on use: most commands need no scipy
     u = _philox_uniforms(seed, start, stop, k)
     # random() can return exactly 0.0, whose normal quantile is -inf
     u[u == 0.0] = 0.5 ** 53
-    return ndtri(u)
+    return _ndtri(u.ravel()).reshape(u.shape)
 
 
 def _standard_normals(seed: int, index: int, k: int) -> np.ndarray:

@@ -364,9 +364,8 @@ class TestTiedTerciles:
 
 
 class TestLazyScipy:
-    """scipy is imported only by the calls that need it (normal quantiles,
-    the Cholesky factor, chi-square tails), so `describe`, `fit` and
-    `fixture` start without paying for it."""
+    """The package imports no scipy: normal quantiles, the Cholesky factor
+    and chi-square tails are numpy and libm, so no command pays for it."""
 
     def test_import_and_fixture_leave_scipy_unloaded(self, tmp_path):
         code = ("import sys, riskdiff.cli as cli; "
@@ -381,6 +380,35 @@ class TestLazyScipy:
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        capture_output=True)
         assert (tmp_path / "cardia_cohort.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["describe"],
+        ["fit", "--model", MODEL],
+        ["report", "--model", MODEL, "--seed", "3", "--draws", "5000",
+         "--workers", "1"],
+        # 5000 draws make two chunks, so two workers start a pool
+        ["report", "--model", MODEL, "--seed", "3", "--draws", "5000",
+         "--workers", "2"],
+    ], ids=["describe", "fit", "report-workers-1", "report-workers-2"])
+    def test_commands_leave_scipy_unloaded(self, tmp_path, command):
+        argv = [command[0], "--input", str(tmp_path / "cardia_cohort.csv"),
+                *COLS, *command[1:]]
+        if command[0] != "describe":
+            argv += ["--out", str(tmp_path / "out")]
+        code = ("import sys, riskdiff.cli as cli; "
+                f"assert cli.main(['fixture', '--out', {str(tmp_path)!r}]) "
+                "== 0; "
+                f"assert cli.main({argv!r}) == 0; "
+                "assert 'scipy' not in sys.modules, sorted(sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True)
+        if command[0] == "report":
+            draws = (tmp_path / "out" / "draws.csv").read_text()
+            assert draws.splitlines()[-1].startswith("4999,")
 
 
 class TestTracedBenchmarkNames:

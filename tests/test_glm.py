@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
 
 from riskdiff.dataset import Cohort, SubjectRecord
 from riskdiff.errors import (
@@ -252,6 +253,19 @@ class TestChiSquare:
 
     def test_nonpositive_statistic(self):
         assert chi2_sf(0.0, 3) == 1.0
+
+    def test_closed_form_matches_gammaincc(self):
+        xs = np.concatenate([np.geomspace(1e-8, 1.0, 17),
+                             np.linspace(0.01, 400.0, 801)])
+        for df in range(1, 60):
+            got = [chi2_sf(x, df) for x in xs.tolist()]
+            np.testing.assert_allclose(got, gammaincc(df / 2.0, xs / 2.0),
+                                       rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("df", [0, -1, 1.5])
+    def test_rejects_non_positive_integer_df(self, df):
+        with pytest.raises(ValueError, match="df"):
+            chi2_sf(1.0, df)
 
 
 class TestLrTest:

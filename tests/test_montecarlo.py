@@ -1,11 +1,13 @@
 """Tests for Cholesky factorization and the Monte Carlo draw pipeline."""
 
 import concurrent.futures
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtri
 
 from riskdiff import montecarlo
@@ -18,6 +20,7 @@ from riskdiff.montecarlo import (
     CSV_BLOCK,
     EffectDistribution,
     _draws,
+    _ndtri,
     _normals,
     _standard_normals,
     cholesky,
@@ -95,6 +98,78 @@ class TestCholesky:
             cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+def python_cholesky(sigma):
+    """The documented factor order in Python floats: column j is sigma[i][j]
+    minus the sum over p < j of L[i][p] * L[j][p], accumulated from 0.0."""
+    k = len(sigma)
+    L = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        for i in range(j, k):
+            acc = 0.0
+            for p in range(j):
+                acc += L[i][p] * L[j][p]
+            entry = sigma[i][j] - acc
+            if i > j:
+                L[i][j] = entry / L[j][j]
+            elif entry > 0.0:
+                L[j][j] = math.sqrt(entry)
+            else:
+                raise NotPositiveDefinite(pivot=j)
+    return np.array(L)
+
+
+def random_spd(rng, k):
+    A = rng.normal(size=(k, k)) * rng.lognormal(0.0, 2.0, k)
+    return A @ A.T + 1e-6 * np.eye(k)
+
+
+class TestFixedOrderCholesky:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+    def test_matches_python_float_factor(self, seed, k):
+        sigma = random_spd(np.random.default_rng(seed), k)
+        expected = python_cholesky(sigma.tolist())
+        assert np.array_equal(cholesky(sigma).view(np.uint64),
+                              expected.view(np.uint64))
+
+    def test_fixture_factor_matches_python_float_factor(self):
+        sigma = cardia_fit().sigma_hat
+        assert np.array_equal(cholesky(sigma),
+                              python_cholesky(sigma.tolist()))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+    def test_pivot_matches_dpotrf(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(200):
+            A = rng.normal(size=(k, k))
+            sigma = A @ A.T
+            lo, hi = np.linalg.eigvalsh(sigma)[[0, -1]]
+            # shifted past the smallest eigenvalue: some leading minor fails
+            sigma -= (lo + rng.uniform(0.001, 0.2) * (hi - lo)) * np.eye(k)
+            _, info = dpotrf(sigma, lower=1, clean=1)
+            assert info > 0
+            with pytest.raises(NotPositiveDefinite) as exc:
+                cholesky(sigma)
+            assert exc.value.pivot == info - 1
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_nan_diagonal_raises(self, j):
+        sigma = np.eye(5)
+        sigma[j, j] = np.nan
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(sigma)
+        assert exc.value.pivot == j
+
+    def test_reads_only_lower_triangle(self):
+        rng = np.random.default_rng(7)
+        sigma = random_spd(rng, 8)
+        upper = np.triu(np.ones((8, 8), dtype=bool), 1)
+        nudged = np.where(upper, sigma * (1 + 1e-10 * rng.normal(size=(8, 8))),
+                          sigma)
+        assert not np.array_equal(nudged, sigma)
+        assert np.array_equal(cholesky(nudged), cholesky(sigma))
+
+
 class TestStandardNormals:
     def test_deterministic_per_index(self):
         a = _standard_normals(123, 7, 5)
@@ -141,6 +216,35 @@ class TestStandardNormals:
             loop = [_draws(fit.pi_hat, L, seed, i, i + 1)[0]
                     for i in range(start, stop)]
             assert np.array_equal(chunk, np.array(loop))
+
+
+def assert_ndtri_bits(u):
+    u = np.asarray(u, dtype=float)
+    assert np.array_equal(_ndtri(u).view(np.uint64), ndtri(u).view(np.uint64))
+
+
+class TestNdtri:
+    """_ndtri is cephes ndtri bit for bit, on every uniform Philox can give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 2 ** 53 - 1),
+                              st.integers(1, 2 ** 12),
+                              st.integers(2 ** 53 - 2 ** 12, 2 ** 53 - 1)),
+                    max_size=64),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy_on_philox_grid(self, ms, seed):
+        # the drawn m plus 4096 more from the seed: vectorized logs differ
+        # from libm's in the last bit on about 1 in 17k grid points
+        m = np.concatenate([np.array(ms, dtype=np.int64), np.random.default_rng(
+            seed).integers(1, 2 ** 53, 4096)])
+        assert_ndtri_bits(m * 0.5 ** 53)
+
+    def test_matches_scipy_at_branch_points(self):
+        e2, e32 = math.exp(-2), math.exp(-32)
+        points = [0.5 ** 53, 1 - 0.5 ** 53, 0.5]
+        for p in (e2, 1 - e2, e32):
+            points += [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]
+        assert_ndtri_bits(points)
 
 
 class TestSampleParameters:
