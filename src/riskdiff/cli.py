@@ -49,6 +49,21 @@ def _error_json(code, errors):
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are the JSON object, exit 2."""
+
+    def error(self, message):
+        _error_json(2, [argparse.ArgumentError(None, message)])
+        raise SystemExit(2)
+
+
+def positive_int(text) -> int:
+    """An int of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _schema_from_args(args) -> ColumnSchema:
     return ColumnSchema(
         outcome=args.outcome_col,
@@ -211,7 +226,7 @@ def cmd_fixture(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riskdiff",
         description="Standardized risk differences and additive interaction "
                     "from a logistic model, with Monte Carlo interval "
@@ -245,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-jitter", action="store_true",
                    help="permit the smallest diagonal jitter that makes a "
                         "non-positive-definite covariance factorable")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_report)
 

@@ -104,10 +104,55 @@ def _check_cell(raw, row, column, binary):
         raise NonFiniteValue(row, column, raw)
 
 
+_PLAIN = dict.fromkeys(map(ord, "0123456789+-.eE, \n"))
+
+
+def _fast_columns(path, wanted):
+    """(y, z1, z2, x) read by numpy, or None where csv and float() may differ.
+
+    Requires: the file decodes; its header line has no quote or CR and names
+    every wanted column; the body has a line, no blank line, no line over
+    ``csv.field_size_limit()``, only ``0-9+-.eE``, comma, space and newline
+    (so csv splits lines at commas, and numpy parses numbers with float()'s
+    parser); numpy reads one row per line; binary cells are exactly "0" or
+    "1" ("1.0" and " 1" stay 2 characters); covariates are finite.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            head, _, body = fh.read().partition("\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    header = [h.strip() for h in head.split(",")]
+    lines = body.removesuffix("\n").split("\n")
+    if ('"' in head or "\r" in head or "" in lines or body.translate(_PLAIN)
+            or not set(wanted) <= set(header)
+            or max(len(head), max(map(len, lines))) > csv.field_size_limit()):
+        return None
+    dtype = [("b", "U2", (3,)), ("x", float, (len(wanted) - 3,))]
+    try:
+        rec = np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                         quotechar=None, ndmin=1,
+                         usecols=[header.index(col) for col in wanted])
+    except ValueError:
+        return None
+    ones, x = rec["b"] == "1", rec["x"]
+    if (len(rec) != len(lines) or not np.isfinite(x).all()
+            or not (ones | (rec["b"] == "0")).all()):
+        return None
+    return (*ones.T, x)
+
+
 def load_cohort(path, schema: ColumnSchema) -> Cohort:
-    """Read a headered CSV into a Cohort, validating every cell."""
+    """Read a headered CSV into a Cohort, validating every cell.
+
+    numpy reads a plain numeric file (see ``_fast_columns``), csv.reader and
+    float() any other; both give the same cohort, bit for bit.
+    """
     wanted = [schema.outcome, schema.exposure1, schema.exposure2,
               *schema.covariates]
+    columns = _fast_columns(path, wanted)
+    if columns is not None:
+        return Cohort.from_columns(*columns, schema.covariates)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)

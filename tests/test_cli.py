@@ -258,6 +258,64 @@ class TestFailurePaths:
                     tmp_path / "out", 4, capsys)
 
 
+class TestUsageErrors:
+    """A usage error is one JSON object on stderr and exit 2, writing nothing."""
+
+    def _usage_error(self, argv, out, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert [e["error"] for e in payload["errors"]] == ["ArgumentError"]
+        assert not out.exists()
+        return payload["errors"][0]["message"]
+
+    def _report(self, fixture_dir, *extra):
+        return ["report",
+                "--input", str(fixture_dir / "cardia_cohort.csv"), *COLS,
+                "--model", MODEL,
+                "--fit-json", str(fixture_dir / "cardia_fit.json"), *extra]
+
+    @pytest.mark.parametrize("flag, value", [("--draws", "abc"),
+                                             ("--seed", "x")])
+    def test_bad_int(self, flag, value, fixture_dir, tmp_path, capsys):
+        argv = self._report(fixture_dir, "--seed", "1", flag, value)
+        message = self._usage_error(argv, tmp_path / "out", capsys)
+        assert flag in message and repr(value) in message
+
+    def test_missing_seed(self, fixture_dir, tmp_path, capsys):
+        message = self._usage_error(self._report(fixture_dir),
+                                    tmp_path / "out", capsys)
+        assert "--seed" in message
+
+    @pytest.mark.parametrize("command", ["describe", "fit", "report"])
+    def test_unknown_flag(self, command, fixture_dir, tmp_path, capsys):
+        argv = self._report(fixture_dir, "--seed", "1", "--bogus")
+        argv[0] = command
+        if command == "describe":
+            argv = argv[:argv.index("--model")] + ["--bogus"]
+        message = self._usage_error(argv, tmp_path / "out", capsys)
+        assert "--bogus" in message
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "abc"])
+    def test_workers_below_1(self, workers, fixture_dir, tmp_path, capsys):
+        argv = self._report(fixture_dir, "--seed", "1", "--draws", "50",
+                            "--workers", workers)
+        message = self._usage_error(argv, tmp_path / "out", capsys)
+        assert "--workers" in message
+
+    def test_help_and_version_unchanged(self, capsys):
+        for argv in (["--help"], ["report", "--help"], ["--version"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out = capsys.readouterr()
+            assert exc.value.code == 0 and out.err == ""
+            assert out.out.startswith(("usage: riskdiff", "riskdiff "))
+
+
 class TestFixtureCommand:
     def test_outputs_round_trip(self, fixture_dir):
         from riskdiff.dataset import load_cohort

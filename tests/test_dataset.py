@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from riskdiff.dataset import (
     Cohort,
+    _fast_columns,
     ColumnSchema,
     SubjectRecord,
     describe,
@@ -211,6 +212,120 @@ class TestLoadMatchesPerRowLoader:
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "c.csv"
             path.write_text(text, encoding="utf-8")
+            got = _load_outcome(load_cohort, path, schema)
+            want = _load_outcome(per_row_load_cohort, path, schema)
+        assert got == want
+        if isinstance(want, Cohort):
+            assert got.x.tobytes() == want.x.tobytes()
+
+
+PLAIN_ALPHABET = "0123456789+-.eE "
+# whitelisted strings that float() rejects, or reads in an unusual way
+PLAIN_ODD = ["1e", ".e1", "+-1", "1 2", "e5", "1e+", "-", ".", "+.5",
+             "-.5e-3", "5.", "00012", " 7 ", "1E5", "1e-400", "-0.0", "1e999",
+             "", " "]
+ROW = "1,0,0,5"
+
+
+def _csv_case(header, *rows, end="\n"):
+    return header + end + "".join(r + end for r in rows)
+
+
+class TestFastPathMatchesPerRowLoader:
+    """numpy's reader runs only where it gives what csv and float() give.
+
+    Each case states whether the fast path takes the file; a file it
+    declines goes to the csv path, which must give the reference outcome.
+    """
+
+    @pytest.mark.parametrize("text, fast", [
+        # a cell longer than csv.field_size_limit() is a csv.Error
+        (_csv_case("y,z1,z2,x1", "1,0,0," + "1" * 131073), False),
+        (_csv_case("y,z1,z2,x1", "1,0,0," + "0" * 131072 + "5"), False),
+        (_csv_case("y,z1,z2,x1,w", "1,0,0,5," + "0" * 131073), False),
+        # numpy strips \x1c as whitespace, float() rejects it
+        (_csv_case("y,z1,z2,x1", "1,0,0,5\x1c"), False),
+        (_csv_case("y,z1,z2,x1", ROW, "", "0,1,1,6"), False),
+        (_csv_case("y,z1,z2,x1", ROW, ""), False),
+        (_csv_case("y,z1,z2,x1", ROW, "   "), False),
+        (_csv_case("y,z1,z2,x1", "   "), False),
+        (_csv_case("y,z1,z2,x1", ""), False),
+        ("y,z1,z2,x1\n" + ROW + "\n0,1,1,6", True),
+        (_csv_case("y,z1,z2,x1", ROW, "0,1,1,6", end="\r\n"), False),
+        (_csv_case("y,z1,z2,x1", '1,0,0,"5"'), False),
+        (_csv_case("y,z1,z2,x1,w", '1,0,0,5,"2,3"'), False),
+        (_csv_case('"y",z1,z2,x1', ROW), False),
+        # csv reads 4 columns after the quoted comma, a plain split 5
+        (_csv_case('"a,b",y,z1,z2,x1', "9,1,0,0,1,7"), False),
+        # csv ends the header at the CR
+        ("y,z1,z2,x1,w\r1,0,0,5,7\n0,1,1,6,8\n", False),
+        (_csv_case("y,z1,z2,x1", "1,0,0,5\x00"), False),
+        (_csv_case("y,z1,z2,x1"), False),
+        (_csv_case("y,z1,z2,x1", "1,0,0,5,7", "0,1,1,6"), True),
+        (_csv_case("y,z1,z2,x1", "1,0,0"), False),
+        *((_csv_case("y,z1,z2,x1", f"{cell},0,0,5"), False)
+          for cell in ["1.0", "+1", "01", "-0", " 1", "10", "1 ", ""]),
+        *((_csv_case("y,z1,z2,x1", f"1,0,0,{cell}"), fast)
+          for cell, fast in [("nan", False), ("1e999", False),
+                             ("-1e999", False), ("1e-400", True),
+                             ("-0.0", True), (" 4.25 ", True),
+                             ("1_000", False), ("\uff15", False)]),
+    ])
+    def test_guard(self, tmp_path, text, fast):
+        m = text.partition("\n")[0].count("x")
+        schema = ColumnSchema("y", "z1", "z2",
+                              tuple(f"x{j}" for j in range(1, m + 1)))
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        wanted = ["y", "z1", "z2", *schema.covariates]
+        assert (_fast_columns(path, wanted) is not None) == fast
+        got = _load_outcome(load_cohort, path, schema)
+        want = _load_outcome(per_row_load_cohort, path, schema)
+        assert got == want
+        if isinstance(want, Cohort):
+            assert got.x.tobytes() == want.x.tobytes()
+
+    def test_plain_files_take_fast_path(self, tmp_path):
+        p = tmp_path / "cardia.csv"
+        save_cohort(cardia_cohort(), p, CARDIA_SCHEMA)
+        wanted = ["survival", "large_hospital", "advanced_stage",
+                  *CARDIA_SCHEMA.covariates]
+        assert _fast_columns(p, wanted) is None  # csv.writer ends lines CRLF
+        p.write_text(p.read_text())  # the same rows, LF
+        assert _fast_columns(p, wanted) is not None
+        assert load_cohort(p, CARDIA_SCHEMA) == cardia_cohort()
+        p = write_csv(tmp_path, "y,z1,z2,age,male,urban\n1,0,0,50,1,0\n")
+        assert _fast_columns(p, ["y", "z1", "z2", "age"]) is not None
+
+    @example(cells=["1e"], binary=["1", "0", "0"], bad_binary=None)
+    @example(cells=[".e1"], binary=["1", "0", "0"], bad_binary=None)
+    @example(cells=["+-1"], binary=["1", "0", "0"], bad_binary=None)
+    @example(cells=["1 2"], binary=["1", "0", "0"], bad_binary=None)
+    @example(cells=["-0.0", "1e-400"], binary=["0", "1", "1"],
+             bad_binary=None)
+    @given(cells=st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**20, 10**20).map(str),
+        st.sampled_from(PLAIN_ODD),
+        st.text("0123456789.", min_size=17, max_size=40),
+        st.text(PLAIN_ALPHABET, max_size=8)), min_size=1, max_size=6),
+        binary=st.lists(st.sampled_from(["0", "1"]), min_size=3, max_size=3),
+        bad_binary=st.one_of(st.none(), st.text(PLAIN_ALPHABET, max_size=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_numeric_cells(self, cells, binary, bad_binary):
+        """Files of whitelisted characters only, so numpy parses each cell.
+
+        The cells go into one covariate column, one per row, and into an
+        unused column; one binary cell may be replaced.
+        """
+        rows = [",".join([*binary, c, c]) for c in cells]
+        if bad_binary is not None:
+            rows[-1] = bad_binary + rows[-1][1:]
+        schema = ColumnSchema("y", "z1", "z2", ("x1",))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.csv"
+            path.write_text(_csv_case("y,z1,z2,x1,w", *rows),
+                            encoding="utf-8")
             got = _load_outcome(load_cohort, path, schema)
             want = _load_outcome(per_row_load_cohort, path, schema)
         assert got == want
