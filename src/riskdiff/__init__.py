@@ -5,46 +5,48 @@ Estimates two standardized risk differences and their interaction
 propagates coefficient uncertainty by Monte Carlo sampling of the normal
 approximation to the ML estimate: percentile intervals, joint confidence
 ellipses, and tercile-conditional interaction intervals.
+
+The names below load on first use (PEP 562), so `import riskdiff` itself
+imports no numpy; `riskdiff.cli` can then choose the BLAS thread count
+before numpy starts.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .dataset import Cohort, ColumnSchema, SubjectRecord, describe, load_cohort
-from .effects import (
-    EffectTriple,
-    StandardizationSet,
-    effect_triple,
-    marginal_risk,
-    risk,
-)
-from .glm import FitResult, ModelSpec, Term, build_design, fit_logistic, lr_test
-from .inference import (
-    ConfidenceEllipse,
-    IntervalEstimate,
-    TercileReport,
-    confidence_ellipse,
-    delta_method_check,
-    marginal_report,
-    percentile_ci,
-    quantile,
-    tercile_report,
-)
-from .montecarlo import (
-    EffectDistribution,
-    cholesky,
-    effect_distribution,
-    sample_parameters,
-)
+_EXPORTS = {
+    "dataset": ("Cohort", "ColumnSchema", "SubjectRecord", "describe",
+                "load_cohort"),
+    "effects": ("EffectTriple", "StandardizationSet", "effect_triple",
+                "marginal_risk", "risk"),
+    "glm": ("FitResult", "ModelSpec", "Term", "build_design", "fit_logistic",
+            "lr_test"),
+    "inference": ("ConfidenceEllipse", "IntervalEstimate", "TercileReport",
+                  "confidence_ellipse", "delta_method_check",
+                  "marginal_report", "percentile_ci", "quantile",
+                  "tercile_report"),
+    "montecarlo": ("EffectDistribution", "cholesky", "effect_distribution",
+                   "sample_parameters"),
+}
+_SUBMODULES = ("cli", "dataset", "effects", "errors", "fixtures", "glm",
+               "inference", "montecarlo")
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in names}
 
-__all__ = [
-    "Cohort", "ColumnSchema", "SubjectRecord", "describe", "load_cohort",
-    "EffectTriple", "StandardizationSet", "effect_triple", "marginal_risk",
-    "risk",
-    "FitResult", "ModelSpec", "Term", "build_design", "fit_logistic",
-    "lr_test",
-    "ConfidenceEllipse", "IntervalEstimate", "TercileReport",
-    "confidence_ellipse", "delta_method_check", "marginal_report",
-    "percentile_ci", "quantile", "tercile_report",
-    "EffectDistribution", "cholesky", "effect_distribution",
-    "sample_parameters",
-]
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

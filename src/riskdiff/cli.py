@@ -7,6 +7,13 @@ command requires an explicit --seed so published runs stay reproducible.
 
 from __future__ import annotations
 
+import os
+
+# Set before numpy loads. BLAS runs one thread: --workers processes give the
+# parallelism, and a second BLAS thread spins after each call. A value the
+# user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import sys

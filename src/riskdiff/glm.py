@@ -28,6 +28,7 @@ MAX_ABS_COEF = 15.0        # |logit coefficient| beyond this flags separation
 DEVIANCE_RTOL = 1e-10
 MAX_ITER = 100
 RANK_PIVOT_RTOL = 1e-10
+RANK_BLOCK = 512          # rows per QR call in the rank check
 
 
 @dataclass(frozen=True)
@@ -203,10 +204,23 @@ def _loglik(X, y, beta):
     return float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
 
 
+def _r_factor(X):
+    """R of X's QR, up to the signs of its rows, reduced in row blocks.
+
+    The R of each block of RANK_BLOCK rows, then the R of the stacked Rs,
+    until one call remains, so that no LAPACK call is big enough to thread;
+    for n <= RANK_BLOCK this is one call on X itself. A block has at least
+    2k rows, so each round at least halves the stack.
+    """
+    block = max(RANK_BLOCK, 2 * X.shape[1])
+    while len(X) > block:
+        X = np.vstack([np.linalg.qr(X[i:i + block], mode="r")
+                       for i in range(0, len(X), block)])
+    return np.linalg.qr(X, mode="r")
+
+
 def _check_rank(X):
-    # pivoted QR via column norms of R from numpy's QR on the full matrix
-    r = np.linalg.qr(X, mode="r")
-    diag = np.abs(np.diag(r))
+    diag = np.abs(np.diag(_r_factor(X)))
     if diag.size and np.min(diag) <= RANK_PIVOT_RTOL * np.max(diag):
         raise RankDeficientDesign(
             f"design matrix is rank deficient (pivot ratio "
@@ -289,7 +303,7 @@ def expit_stable(eta):
     eta = np.asarray(eta, dtype=float)
     t = np.empty_like(eta)
     np.exp(np.negative(np.abs(eta, out=t), out=t), out=t)
-    mu = np.where(eta >= 0, 1.0, t)
+    mu = np.maximum((eta >= 0).astype(float), t)  # select-free, same bits
     t += 1.0
     mu /= t
     return mu

@@ -18,9 +18,11 @@ from riskdiff.errors import (
 )
 from riskdiff.glm import (
     CARDIA_MODEL,
+    RANK_BLOCK,
     FitResult,
     ModelSpec,
     Term,
+    _r_factor,
     build_design,
     chi2_sf,
     expit_stable,
@@ -144,6 +146,32 @@ class TestFitLogistic:
     def test_rank_deficient_design(self):
         X = np.column_stack([np.ones(10), np.arange(10.0), np.arange(10.0)])
         y = (np.arange(10) % 2).astype(float)
+        with pytest.raises(RankDeficientDesign):
+            fit_logistic(X, y)
+
+    @pytest.mark.parametrize("n", [8, 511, 512, 513, 1025, 5000])
+    def test_blocked_r_matches_full_qr(self, n):
+        rng = np.random.default_rng(n)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 7))])
+        X[:, 3] *= 1e3
+        full = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+        blocked = np.abs(np.diag(_r_factor(X)))
+        if n <= RANK_BLOCK:
+            assert np.array_equal(blocked, full)
+        assert np.max(np.abs(blocked - full) / full) < 1e-13
+
+    def test_blocked_r_of_a_wide_design_terminates(self):
+        # k > RANK_BLOCK / 2: blocks grow to 2k rows so the stack shrinks
+        X = np.random.default_rng(1).normal(size=(1500, 300))
+        full = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+        blocked = np.abs(np.diag(_r_factor(X)))
+        assert np.max(np.abs(blocked - full) / full) < 1e-13
+
+    def test_rank_deficient_design_in_blocks(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(5000, 2))
+        X = np.column_stack([np.ones(5000), x, x @ [0.5, -2.0]])
+        y = (rng.random(5000) < 0.4).astype(float)
         with pytest.raises(RankDeficientDesign):
             fit_logistic(X, y)
 
@@ -304,3 +332,21 @@ class TestExpitStable:
     def test_saturation_no_overflow(self):
         assert float(expit_stable(40.0)) == pytest.approx(1.0, abs=1e-12)
         assert float(expit_stable(-750.0)) == 0.0
+
+    def test_matches_select_formula_bit_for_bit(self):
+        def expit_where(eta):
+            # the formula expit_stable used before it went select-free
+            t = np.exp(-np.abs(eta))
+            return np.where(eta >= 0, 1.0, t) / (1.0 + t)
+
+        rng = np.random.default_rng(2)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            800.0, -800.0, 710.0, -710.0, 740.0, -740.0,
+                            745.1, -745.1, 5e-324, -5e-324])
+        blocks = [special, rng.normal(size=4096),
+                  rng.normal(scale=40.0, size=4096),
+                  rng.uniform(-760.0, 760.0, size=4096),
+                  rng.standard_cauchy(size=(64, 64))]
+        for eta in blocks:
+            assert np.all(expit_stable(eta).view(np.uint64)
+                          == expit_where(eta).view(np.uint64))
