@@ -16,7 +16,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +41,6 @@ from .inference import (
 from .montecarlo import DEFAULT_N_DRAWS, effect_distribution
 
 EXIT_CODES = ((DataError, 2), (FitError, 3), (InferenceError, 4))
-
-
-class _Collected(InferenceError):
-    """The report's inference-stage errors, reported together in args."""
 
 
 def _error_json(code, errors):
@@ -141,8 +139,18 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _write_text(path, text):
-    _os_call(f"write {path}", path.write_text, text)
+def _publish(out, files):
+    """Write files ({name: text}) into out: all staged in full, then moved."""
+    tmp = Path(_os_call(f"write {out}", tempfile.mkdtemp,
+                        prefix=".riskdiff-", dir=out))
+    try:
+        for name, text in files.items():
+            _os_call(f"write {out / name}", (tmp / name).write_text, text)
+        for name in files:
+            _os_call(f"write {out / name}", os.replace, tmp / name, out / name)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(f"wrote {', '.join(files)} to {out}")
 
 
 def cmd_describe(args) -> int:
@@ -159,8 +167,7 @@ def cmd_fit(args) -> int:
     fit = _fit(spec, cohort)
     payload = json.loads(fit.to_json())
     payload["provenance"] = _provenance(args)
-    _write_text(out / "fit.json", json.dumps(payload, indent=2))
-    print(f"wrote {out / 'fit.json'}")
+    _publish(out, {"fit.json": json.dumps(payload, indent=2)})
     return 0
 
 
@@ -181,45 +188,39 @@ def cmd_report(args) -> int:
         "seed": args.seed, "n_draws": args.draws, "alpha": args.alpha,
         "jitter": dist.jitter, "source_hash": dist.source_hash,
     })
+    head = "# " + json.dumps(meta) + "\n"
 
-    def write_json(name, payload):
-        _write_text(out / name, json.dumps({"provenance": meta, **payload},
-                                           indent=2))
-
-    def write_text(name, text):
-        _write_text(out / name, "# " + json.dumps(meta) + "\n" + text)
+    def dump(payload):
+        return json.dumps({"provenance": meta, **payload}, indent=2)
 
     points = {"te1": plug.te1, "te2": plug.te2, "int": plug.int_}
-    write_json("effects.json", points)
-    write_text("draws.csv", dist.to_csv())
-
-    errors = []
+    files = {"effects.json": dump(points), "draws.csv": head + dist.to_csv()}
     for which, point in points.items():
-        write_json(f"marginal_{which}.json",
-                   marginal_report(dist, which, point).to_dict())
-        write_text(f"hist_{which}.csv", histogram_csv(dist.component(which)))
+        files[f"marginal_{which}.json"] = dump(
+            marginal_report(dist, which, point).to_dict())
+        files[f"hist_{which}.csv"] = head + histogram_csv(dist.component(which))
+    # the ellipse and tercile files are published only if all of them are
+    joint, errors = {}, []
     for which in ("te1", "te2"):
         try:
             ell = confidence_ellipse(
                 np.column_stack([dist.component(which), dist.int_]),
                 args.alpha)
-            write_json(f"ellipse_{which}_int.json", ell.to_dict())
-            write_text(f"ellipse_{which}_int.csv", ellipse_csv(ell))
+            joint[f"ellipse_{which}_int.json"] = dump(ell.to_dict())
+            joint[f"ellipse_{which}_int.csv"] = head + ellipse_csv(ell)
         except InferenceError as e:
             errors.append(e)
         try:
             rep = tercile_report(dist, which)
-            write_json(f"terciles_{which}.json", rep.to_dict())
+            joint[f"terciles_{which}.json"] = dump(rep.to_dict())
             masks = tercile_masks(dist.component(which), rep.boundaries)
             for i, mask in enumerate(masks, start=1):
-                write_text(f"hist_int_{which}_t{i}.csv",
-                           histogram_csv(dist.int_[mask]))
+                joint[f"hist_int_{which}_t{i}.csv"] = head + \
+                    histogram_csv(dist.int_[mask])
         except InferenceError as e:
             errors.append(e)
-    if errors:
-        raise _Collected(*errors)
-    print(f"wrote report bundle to {out}")
-    return 0
+    _publish(out, files if errors else files | joint)
+    return _error_json(4, errors) if errors else 0
 
 
 def cmd_fixture(args) -> int:
@@ -227,8 +228,7 @@ def cmd_fixture(args) -> int:
     out = _out_dir(args.out)
     _os_call(f"write {out / 'cardia_cohort.csv'}", save_cohort,
              cardia_cohort(), out / "cardia_cohort.csv", CARDIA_SCHEMA)
-    _write_text(out / "cardia_fit.json", cardia_fit().to_json())
-    print(f"wrote {out / 'cardia_cohort.csv'} and {out / 'cardia_fit.json'}")
+    _publish(out, {"cardia_fit.json": cardia_fit().to_json()})
     return 0
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except RiskdiffError as e:
         code = next(code for cls, code in EXIT_CODES if isinstance(e, cls))
-        return _error_json(code, e.args if isinstance(e, _Collected) else [e])
+        return _error_json(code, [e])
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Whatever the cohort, model, draw count, alpha or fit file, `riskdiff` exits
 0, 2, 3 or 4. Exit 0 writes nothing to stderr; every other exit writes
 exactly one JSON object naming that code. Data and fit errors, and the
 up-front --draws/--alpha checks, write no output file. An output directory
-or file that cannot be written exits 2 as a DataError naming its path.
+or file that cannot be written exits 2 as a DataError naming its path, and a
+write that fails leaves --out as it was.
 """
 
 import contextlib
@@ -191,3 +192,60 @@ def test_unwritable_output_file_exit_2(cohort_lines, command, tmp_path):
         assert err["errors"][0]["error"] == "DataError"
         assert str(out / name) in err["errors"][0]["message"]
         assert "IsADirectoryError" in err["errors"][0]["message"]
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command, nth", [("fit", 1), ("report", 1),
+                                          ("report", 10), ("report", 20)])
+def test_failed_write_publishes_nothing(cohort_lines, command, nth, tmp_path,
+                                        monkeypatch):
+    """An OSError on the nth staged file leaves the earlier bundle intact."""
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    out = tmp_path / "out"
+    assert _run(_command_argv(command, tmp_path, out)) == (0, None)
+    before = _snapshot(out)
+    assert len(before) == {"fit": 1, "report": 20}[command]
+
+    staged = []
+    write_text = Path.write_text
+
+    def failing_write_text(path, *args, **kwargs):
+        if path.parent.name.startswith(".riskdiff-"):
+            staged.append(path.name)
+            if len(staged) == nth:
+                raise OSError(28, "No space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    rerun = {"fit": ["--model", "z1,z2,z1*z2,x1,x2,x3"],
+             "report": ["--seed", "2"]}[command]
+    code, err = _run(_command_argv(command, tmp_path, out) + rerun)
+    assert code == 2
+    assert len(staged) == nth
+    assert [e["error"] for e in err["errors"]] == ["DataError"]
+    assert f"write {out / staged[-1]}: OSError" in err["errors"][0]["message"]
+    assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("draws, errors", [
+    # every ellipse and tercile stage fails
+    (1, ["DegenerateCloud", "TooFewDraws", "DegenerateCloud", "TooFewDraws"]),
+    # the ellipses succeed, the terciles fail: no ellipse file is published
+    (5, ["TooFewDraws", "TooFewDraws"]),
+])
+def test_exit_4_publishes_exactly_the_marginal_stage(cohort_lines, draws,
+                                                     errors, tmp_path):
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    out = tmp_path / "out"
+    code, err = _run(_command_argv("report", tmp_path, out)
+                     + ["--draws", str(draws)])
+    assert code == 4
+    assert err["exit_code"] == 4
+    assert [e["error"] for e in err["errors"]] == errors
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        "effects.json", "draws.csv",
+        *(f"marginal_{w}.json" for w in ("te1", "te2", "int")),
+        *(f"hist_{w}.csv" for w in ("te1", "te2", "int"))])
