@@ -145,6 +145,9 @@ def _publish(out, files):
                         prefix=".riskdiff-", dir=out))
     try:
         for name, text in files.items():
+            if (out / name).is_dir():  # refused before the first move
+                raise DataError(f"cannot write {out / name}: "
+                                f"IsADirectoryError: it is a directory")
             _os_call(f"write {out / name}", (tmp / name).write_text, text)
         for name in files:
             _os_call(f"write {out / name}", os.replace, tmp / name, out / name)

@@ -65,9 +65,9 @@ class Cohort:
                          self.z2.tolist(), map(tuple, self.x.tolist())))
 
     def __eq__(self, other):
-        return isinstance(other, Cohort) and (
-            (self.covariate_names, self.records)
-            == (other.covariate_names, other.records))
+        return isinstance(other, Cohort) and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("covariate_names", "y", "z1", "z2", "x"))
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,9 @@ def save_cohort(cohort: Cohort, path, schema: ColumnSchema) -> None:
         writer = csv.writer(fh)
         writer.writerow([schema.outcome, schema.exposure1, schema.exposure2,
                          *schema.covariates])
-        for r in cohort.records:
-            writer.writerow([r.y, r.z1, r.z2,
-                             *(repr(v) for v in r.x)])
+        for y, z1, z2, x in zip(cohort.y.tolist(), cohort.z1.tolist(),
+                                cohort.z2.tolist(), cohort.x.tolist()):
+            writer.writerow([y, z1, z2, *(repr(v) for v in x)])
 
 
 def lower_median(values) -> float:

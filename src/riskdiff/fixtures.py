@@ -93,8 +93,8 @@ def _joint_counts(m, n_a, n_f, n_r):
     """Integer 2x2x2 joint counts with the given one-way margins.
 
     Expected counts under independence, rounded by largest remainder, then
-    repaired by moving units along one axis at a time until every margin
-    is exact.
+    repaired in one pass over the axes: a move along one axis leaves the
+    other two margins as they are.
     """
     keys = list(product((1, 0), repeat=3))
     if m == 0:
@@ -116,28 +116,20 @@ def _joint_counts(m, n_a, n_f, n_r):
         return tuple(sum(v for k, v in counts.items() if k[axis])
                      for axis in range(3))
 
-    for _ in range(8 * m + 8):
-        current = margins()
-        if current == target:
-            break
-        for axis in range(3):
-            excess = current[axis] - target[axis]
-            if excess == 0:
-                continue
-            moved = 0
-            for k in sorted(keys, key=lambda k: -counts[k]):
-                if moved == abs(excess):
-                    break
-                src = k if (k[axis] == 1) == (excess > 0) else tuple(
-                    1 - v if i == axis else v for i, v in enumerate(k))
-                dst = tuple(1 - v if i == axis else v
-                            for i, v in enumerate(src))
-                if counts[src] > 0:
-                    take = min(counts[src], abs(excess) - moved)
-                    counts[src] -= take
-                    counts[dst] += take
-                    moved += take
-            current = margins()
+    for axis in range(3):
+        excess = margins()[axis] - target[axis]
+        moved = 0
+        for k in sorted(keys, key=lambda k: -counts[k]):
+            if moved == abs(excess):
+                break
+            src = k if (k[axis] == 1) == (excess > 0) else tuple(
+                1 - v if i == axis else v for i, v in enumerate(k))
+            dst = tuple(1 - v if i == axis else v for i, v in enumerate(src))
+            if counts[src] > 0:
+                take = min(counts[src], abs(excess) - moved)
+                counts[src] -= take
+                counts[dst] += take
+                moved += take
     assert margins() == target, "margin repair failed"
     return counts
 

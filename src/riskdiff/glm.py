@@ -198,8 +198,7 @@ class FitResult:
         )
 
 
-def _loglik(X, y, beta):
-    eta = X @ beta
+def _loglik(y, eta):
     # log(1 + exp(eta)) computed stably
     return float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
 
@@ -232,8 +231,10 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
     """Maximize the Bernoulli log-likelihood under the logit link.
 
     Newton steps with step-halving whenever the log-likelihood fails to
-    increase; stops when the relative deviance change drops below
-    DEVIANCE_RTOL or after MAX_ITER iterations.
+    increase, forming each iterate's X @ beta once. The convergence test
+    (the last step changed the log-likelihood by less than DEVIANCE_RTOL
+    relative, within MAX_ITER steps) comes after the information at the
+    current beta is formed; sigma_hat is the inverse of that information.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -247,17 +248,20 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
         term_names = tuple(f"b{j}" for j in range(k))
 
     beta = np.zeros(k)
-    ll = _loglik(X, y, beta)
-    iterations = 0
-    converged = False
-    for iterations in range(1, MAX_ITER + 1):
-        eta = X @ beta
+    eta = X @ beta
+    ll = _loglik(y, eta)
+    rel = math.inf
+    for iterations in range(MAX_ITER + 1):
         mu = expit_stable(eta)
         w = mu * (1.0 - mu)
+        info = X.T @ (w[:, None] * X)
+        if rel < DEVIANCE_RTOL:
+            break
+        if iterations == MAX_ITER:
+            raise NotConverged(f"no convergence after {MAX_ITER} iterations")
         grad = X.T @ (y - mu)
-        hess = X.T @ (w[:, None] * X)
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError:
             raise SeparationDetected(
                 "observed information became singular during iteration"
@@ -266,11 +270,12 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
-            ll_new = _loglik(X, y, cand)
+            eta = X @ cand
+            ll_new = _loglik(y, eta)
             if ll_new >= ll:
                 break
             scale *= 0.5
-        beta = beta + scale * step
+        beta = cand
         if np.max(np.abs(beta)) > MAX_ABS_COEF:
             raise SeparationDetected(
                 f"coefficient magnitude exceeded {MAX_ABS_COEF} on the logit "
@@ -278,15 +283,7 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
             )
         rel = abs(ll_new - ll) / (abs(ll) + 1e-300)
         ll = ll_new
-        if rel < DEVIANCE_RTOL:
-            converged = True
-            break
-    if not converged:
-        raise NotConverged(f"no convergence after {MAX_ITER} iterations")
 
-    mu = expit_stable(X @ beta)
-    w = mu * (1.0 - mu)
-    info = X.T @ (w[:, None] * X)
     sigma = np.linalg.inv(info)
     sigma = (sigma + sigma.T) / 2.0
     return FitResult(pi_hat=beta, sigma_hat=sigma, loglik=ll,

@@ -53,6 +53,12 @@ class IntervalEstimate:
         if not (self.ci95[0] <= self.ci50[0] and self.ci50[1] <= self.ci95[1]):
             raise ValueError("ci50 must be contained in ci95")
 
+    @classmethod
+    def from_samples(cls, point, samples) -> "IntervalEstimate":
+        """point with the equal-tail 50% and 95% intervals of samples."""
+        return cls(point=float(point), ci50=percentile_ci(samples, 0.5),
+                   ci95=percentile_ci(samples, 0.05))
+
     def to_dict(self) -> dict:
         return {"point": self.point, "ci50": list(self.ci50),
                 "ci95": list(self.ci95), "level_convention": "equal-tail"}
@@ -139,10 +145,7 @@ def marginal_report(dist: EffectDistribution, which: str,
     The point estimate is the plug-in value at the fitted coefficients (not
     the draw mean); pass it in from effect_triple at pi_hat.
     """
-    draws = dist.component(which)
-    return IntervalEstimate(point=float(point),
-                            ci50=percentile_ci(draws, 0.5),
-                            ci95=percentile_ci(draws, 0.05))
+    return IntervalEstimate.from_samples(point, dist.component(which))
 
 
 @dataclass(frozen=True)
@@ -196,14 +199,10 @@ def tercile_report(dist: EffectDistribution, conditioning: str) -> TercileReport
         if not m.any():
             raise EmptySamples(f"the {label} {conditioning} tercile holds no "
                                f"draws: the draws tie at its boundaries")
-    strata = []
-    for m in masks:
-        s = ints[m]
-        strata.append(IntervalEstimate(point=float(np.mean(s)),
-                                       ci50=percentile_ci(s, 0.5),
-                                       ci95=percentile_ci(s, 0.05)))
+    strata = tuple(IntervalEstimate.from_samples(np.mean(ints[m]), ints[m])
+                   for m in masks)
     return TercileReport(conditioning=conditioning.lower(),
-                         boundaries=(q1, q2), strata=tuple(strata))
+                         boundaries=(q1, q2), strata=strata)
 
 
 def histogram_csv(samples, n_bins: int = 30) -> str:

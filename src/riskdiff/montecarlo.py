@@ -127,17 +127,12 @@ def _factor_with_jitter(sigma, allow_jitter):
     if np.all(sigma == 0.0):
         # degenerate-allowed special case: every draw equals the center
         return np.zeros_like(sigma), 0.0
-    try:
-        return cholesky(sigma), 0.0
-    except NotPositiveDefinite:
-        if not allow_jitter:
-            raise
-    k = sigma.shape[0]
-    for eps in JITTER_LADDER:
+    for eps in (0.0, *JITTER_LADDER):
         try:
-            return cholesky(sigma + eps * np.eye(k)), eps
+            return cholesky(sigma + eps * np.eye(len(sigma))), eps
         except NotPositiveDefinite:
-            continue
+            if not allow_jitter:
+                raise
     raise NotPositiveDefinite(pivot=-1)
 
 
@@ -316,8 +311,8 @@ def fit_identity_hash(fit: FitResult) -> str:
 
 def _eval_chunk(args):
     pi_hat, L, spec, std, seed, start, stop = args
-    return start, effect_triples_batch(_draws(pi_hat, L, seed, start, stop),
-                                       spec, std)
+    return effect_triples_batch(_draws(pi_hat, L, seed, start, stop),
+                                spec, std)
 
 
 def effect_distribution(fit: FitResult, spec: ModelSpec,
@@ -339,9 +334,6 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     L, jitter = _factor_with_jitter(fit.sigma_hat, allow_jitter)
-    te1 = np.empty(n_draws)
-    te2 = np.empty(n_draws)
-    int_ = np.empty(n_draws)
     per_chunk = max(1, min(chunk_size, CHUNK_ELEMENTS // std.n))
     chunks = [(fit.pi_hat, L, spec, std, seed, start,
                min(start + per_chunk, n_draws))
@@ -353,9 +345,7 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
             results = list(pool.map(_eval_chunk, chunks))
     else:
         results = [_eval_chunk(c) for c in chunks]
-    for start, (t1, t2, ti) in results:
-        stop = start + len(t1)
-        te1[start:stop], te2[start:stop], int_[start:stop] = t1, t2, ti
+    te1, te2, int_ = (np.concatenate(parts) for parts in zip(*results))
     return EffectDistribution(te1=te1, te2=te2, int_=int_, n_draws=n_draws,
                               seed=seed, source_hash=fit_identity_hash(fit),
                               jitter=jitter)

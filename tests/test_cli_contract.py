@@ -230,6 +230,25 @@ def test_failed_write_publishes_nothing(cohort_lines, command, nth, tmp_path,
     assert _snapshot(out) == before
 
 
+@pytest.mark.parametrize("name", ["effects.json", "hist_te2.csv",
+                                  "hist_int_te2_t3.csv"])
+def test_directory_in_a_file_place_publishes_nothing(cohort_lines, name,
+                                                     tmp_path):
+    """A directory in place of any bundle file is refused before a move."""
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    code, err = _run(_command_argv("report", tmp_path, out))
+    assert code == 2
+    assert [e["error"] for e in err["errors"]] == ["DataError"]
+    assert err["errors"][0]["message"].startswith(
+        f"cannot write {out / name}: IsADirectoryError: ")
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, "notes.txt"])
+    assert not any((out / name).iterdir())
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("draws, errors", [
     # every ellipse and tercile stage fails
     (1, ["DegenerateCloud", "TooFewDraws", "DegenerateCloud", "TooFewDraws"]),

@@ -357,6 +357,18 @@ class TestColumns:
         with pytest.raises(AttributeError):
             cohort.y = np.zeros(cohort.n, dtype=int)
 
+    def test_equality_compares_names_and_columns(self):
+        cohort = cardia_cohort()
+        columns = [cohort.y, cohort.z1, cohort.z2, cohort.x]
+        assert Cohort.from_columns(*columns, cohort.covariate_names) == cohort
+        renamed = Cohort.from_columns(*columns, ("a", "b", "c"))
+        assert renamed != cohort
+        for j in range(4):
+            changed = [c.copy() for c in columns]
+            changed[j][0] = 1 - changed[j][0]
+            assert Cohort.from_columns(*changed,
+                                       cohort.covariate_names) != cohort
+
     def test_records_rebuild_the_cohort(self, tmp_path):
         p = tmp_path / "cardia.csv"
         save_cohort(cardia_cohort(), p, CARDIA_SCHEMA)

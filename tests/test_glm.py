@@ -216,6 +216,23 @@ class TestFitLogistic:
                 / np.max(np.abs(sigma_fd))
             assert rel < 1e-4
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sigma_and_loglik_are_those_at_pi_hat(self, seed):
+        # bit for bit: the inverse information and the log-likelihood of
+        # the returned coefficients, recomputed from scratch
+        rng = np.random.default_rng(seed)
+        n = 1000 * seed
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2)),
+                             rng.integers(0, 2, n)])
+        eta = X @ rng.normal(scale=0.6, size=4)
+        y = (rng.random(n) < expit_stable(eta)).astype(float)
+        fit = fit_logistic(X, y)
+        eta = X @ fit.pi_hat
+        mu = expit_stable(eta)
+        sigma = np.linalg.inv(X.T @ ((mu * (1.0 - mu))[:, None] * X))
+        assert np.array_equal(fit.sigma_hat, (sigma + sigma.T) / 2.0)
+        assert fit.loglik == float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
+
     def test_permuted_rows_same_fit(self):
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(120), rng.normal(size=120)])

@@ -295,6 +295,26 @@ class TestSampleParameters:
         assert draws.shape == (3, 2)
 
 
+class TestJitterLadder:
+    def test_without_opt_in_the_error_names_the_first_failing_pivot(self):
+        with pytest.raises(NotPositiveDefinite) as e:
+            montecarlo._factor_with_jitter(np.diag([1.0, 2.0, -1.0]), False)
+        assert e.value.pivot == 2
+
+    def test_exhausted_ladder_raises_pivot_minus_one(self):
+        with pytest.raises(NotPositiveDefinite) as e:
+            montecarlo._factor_with_jitter(np.diag([1.0, -1.0]), True)
+        assert e.value.pivot == -1
+
+    @pytest.mark.parametrize("last, jitter", [
+        (2.0, 0.0), (0.0, 1e-10), (-5e-10, 1e-9), (-5e-7, 1e-6)])
+    def test_smallest_ladder_entry_that_factors(self, last, jitter):
+        sigma = np.diag([1.0, last])
+        L, used = montecarlo._factor_with_jitter(sigma, True)
+        assert used == jitter
+        assert np.array_equal(L, cholesky(sigma + jitter * np.eye(2)))
+
+
 class TestEffectDistribution:
     def test_single_draw_zero_covariance_is_plug_in(self):
         fit = cardia_fit()
