@@ -7,12 +7,40 @@ command requires an explicit --seed so published runs stay reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import os
 
 # Set before numpy loads. BLAS runs one thread: --workers processes give the
 # parallelism, and a second BLAS thread spins after each call. A value the
 # user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def _keep_freed_memory():
+    """Have glibc keep freed memory in the heap for reuse until exit.
+
+    The Monte Carlo and fit loops free and reallocate the same 0.25-3 MB
+    temporaries thousands of times; under glibc's dynamic thresholds each
+    one is returned to the kernel and faulted in again. Skipped without
+    glibc's mallopt, or when the user tuned malloc, whose setting wins.
+    """
+    env = os.environ
+    if any(k.startswith("MALLOC_") for k in env) or \
+            "glibc.malloc." in env.get("GLIBC_TUNABLES", ""):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD at glibc's 64-bit maximum, then M_TRIM_THRESHOLD at
+    # 1 GiB. Either one alone turns the dynamic rule off and faults far more.
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 1 << 30)
+
+
+_keep_freed_memory()
 
 import argparse
 import json
@@ -24,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import ColumnSchema, describe, load_cohort, save_cohort
+from .dataset import ColumnSchema, cohort_csv, describe, load_cohort
 from .effects import StandardizationSet, effect_triple
 from .errors import (DataError, FitError, InferenceError, RiskdiffError,
                      TooFewDraws)
@@ -148,7 +176,8 @@ def _publish(out, files):
             if (out / name).is_dir():  # refused before the first move
                 raise DataError(f"cannot write {out / name}: "
                                 f"IsADirectoryError: it is a directory")
-            _os_call(f"write {out / name}", (tmp / name).write_text, text)
+            _os_call(f"write {out / name}", (tmp / name).write_text, text,
+                     newline="")
         for name in files:
             _os_call(f"write {out / name}", os.replace, tmp / name, out / name)
     finally:
@@ -228,10 +257,9 @@ def cmd_report(args) -> int:
 
 def cmd_fixture(args) -> int:
     """Write the bundled cohort reconstruction and its fixture fit to disk."""
-    out = _out_dir(args.out)
-    _os_call(f"write {out / 'cardia_cohort.csv'}", save_cohort,
-             cardia_cohort(), out / "cardia_cohort.csv", CARDIA_SCHEMA)
-    _publish(out, {"cardia_fit.json": cardia_fit().to_json()})
+    _publish(_out_dir(args.out), {
+        "cardia_cohort.csv": cohort_csv(cardia_cohort(), CARDIA_SCHEMA),
+        "cardia_fit.json": cardia_fit().to_json()})
     return 0
 
 

@@ -9,6 +9,7 @@ malformed cell rejects the whole file; rows are never silently dropped.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -185,15 +186,23 @@ def load_cohort(path, schema: ColumnSchema) -> Cohort:
                                schema.covariates)
 
 
+def cohort_csv(cohort: Cohort, schema: ColumnSchema) -> str:
+    """The cohort as canonical CSV text, CRLF line ends (round-trips with
+    load_cohort)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([schema.outcome, schema.exposure1, schema.exposure2,
+                     *schema.covariates])
+    for y, z1, z2, x in zip(cohort.y.tolist(), cohort.z1.tolist(),
+                            cohort.z2.tolist(), cohort.x.tolist()):
+        writer.writerow([y, z1, z2, *(repr(v) for v in x)])
+    return buf.getvalue()
+
+
 def save_cohort(cohort: Cohort, path, schema: ColumnSchema) -> None:
-    """Write a cohort back to canonical CSV (round-trips with load_cohort)."""
+    """Write cohort_csv(cohort, schema) to path."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.outcome, schema.exposure1, schema.exposure2,
-                         *schema.covariates])
-        for y, z1, z2, x in zip(cohort.y.tolist(), cohort.z1.tolist(),
-                                cohort.z2.tolist(), cohort.x.tolist()):
-            writer.writerow([y, z1, z2, *(repr(v) for v in x)])
+        fh.write(cohort_csv(cohort, schema))
 
 
 def lower_median(values) -> float:

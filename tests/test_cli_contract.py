@@ -249,6 +249,27 @@ def test_directory_in_a_file_place_publishes_nothing(cohort_lines, name,
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+def test_fixture_is_whole_or_nothing(tmp_path):
+    """fixture writes save_cohort's bytes, and a refused cardia_fit.json
+    leaves no cardia_cohort.csv behind."""
+    assert _run(["fixture", "--out", str(tmp_path / "good")]) == (0, None)
+    save_cohort(cardia_cohort(), tmp_path / "saved.csv", CARDIA_SCHEMA)
+    assert (tmp_path / "good" / "cardia_cohort.csv").read_bytes() == \
+        (tmp_path / "saved.csv").read_bytes()
+    out = tmp_path / "out"
+    (out / "cardia_fit.json").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    code, err = _run(["fixture", "--out", str(out)])
+    assert code == 2
+    assert [e["error"] for e in err["errors"]] == ["DataError"]
+    assert err["errors"][0]["message"].startswith(
+        f"cannot write {out / 'cardia_fit.json'}: IsADirectoryError: ")
+    assert sorted(p.name for p in out.iterdir()) == ["cardia_fit.json",
+                                                      "notes.txt"]
+    assert not any((out / "cardia_fit.json").iterdir())
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("draws, errors", [
     # every ellipse and tercile stage fails
     (1, ["DegenerateCloud", "TooFewDraws", "DegenerateCloud", "TooFewDraws"]),

@@ -1,5 +1,7 @@
-"""Tests for the lazy package exports and the CLI's one BLAS thread."""
+"""Tests for the lazy package exports and the CLI's one BLAS thread and
+malloc thresholds."""
 
+import ctypes
 import importlib
 import json
 import os
@@ -33,12 +35,16 @@ EXPORTS = {
 
 def child_env(**overrides):
     """This environment with src on the path, OPENBLAS_NUM_THREADS unset
-    and then the overrides applied."""
+    and then the overrides applied; an override of None unsets a variable."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC + (os.pathsep + path if path else "")
-    env.update(overrides)
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return env
 
 
@@ -133,3 +139,58 @@ class TestBlasThreads:
         assert logliks[0] == pytest.approx(logliks[1], rel=1e-14, abs=0)
         assert fits[0] == fits[1]
         assert outputs[0] == outputs[1]
+
+
+def _has_mallinfo2():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (OSError, TypeError):
+        return False
+
+
+#: Prints glibc's mallinfo2().arena, the heap bytes the process holds, after
+#: an 8 MiB array is allocated and freed.
+FREED_ARENA = """
+import ctypes
+import numpy as np
+
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes = ()
+mallinfo2.restype = Info
+block = np.ones(1 << 20)
+del block
+print(mallinfo2().arena)
+"""
+EIGHT_MIB = 8 << 20
+
+
+@pytest.mark.skipif(not _has_mallinfo2(), reason="libc has no mallinfo2")
+class TestMallocThresholds:
+    """The CLI has glibc keep freed memory in the heap, unless the user
+    tuned malloc; importing a library module sets nothing."""
+
+    @staticmethod
+    def freed_arena(module, **env):
+        untuned = {name: None for name in os.environ
+                   if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES"}
+        out = python(f"import {module}\n" + FREED_ARENA, **{**untuned, **env})
+        return int(out)
+
+    def test_cli_keeps_a_freed_block(self):
+        assert self.freed_arena("riskdiff.cli") >= EIGHT_MIB
+
+    @pytest.mark.parametrize("name,value", [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_ARENA_MAX", "2"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_user_setting_wins(self, name, value):
+        assert self.freed_arena("riskdiff.cli", **{name: value}) < EIGHT_MIB
+
+    def test_library_import_sets_nothing(self):
+        assert self.freed_arena("riskdiff.montecarlo") < EIGHT_MIB
