@@ -116,14 +116,8 @@ def _add_input_args(p):
                    help="comma list of covariate column names, in order")
 
 
-def _provenance(args, extra=None):
-    meta = {
-        "version": f"riskdiff {__version__}",
-        "model": args.model,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _provenance(args, **extra):
+    return {"version": f"riskdiff {__version__}", "model": args.model, **extra}
 
 
 def _inputs(args):
@@ -216,10 +210,9 @@ def cmd_report(args) -> int:
                                seed=args.seed,
                                allow_jitter=args.allow_jitter,
                                workers=args.workers)
-    meta = _provenance(args, {
-        "seed": args.seed, "n_draws": args.draws, "alpha": args.alpha,
-        "jitter": dist.jitter, "source_hash": dist.source_hash,
-    })
+    meta = _provenance(args, seed=args.seed, n_draws=args.draws,
+                       alpha=args.alpha, jitter=dist.jitter,
+                       source_hash=dist.source_hash)
     head = "# " + json.dumps(meta) + "\n"
 
     def dump(payload):

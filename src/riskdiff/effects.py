@@ -96,10 +96,10 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
       and both zeros have risk 0.5.
     - The stack is walked in blocks of BLOCK_ELEMENTS // len(distinct)
       vectors, so a block's (draws, distinct rows) temporaries stay in
-      cache. Within a block each product pi_j * column_j is formed once and
-      reused by every cell whose column j has the same bytes. All of these
-      are elementwise or per-row operations, so no bit depends on which
-      vectors share a block.
+      cache. Within a block each product pi_j * column_j is formed once for
+      every cell: at 0/1 exposures a live column of term j is that term's
+      covariate, or 1.0, in every cell. All of these are elementwise or
+      per-row operations, so no bit depends on which vectors share a block.
     """
     pis = np.asarray(pis, dtype=float)
     if pis.shape[-1] != spec.k:
@@ -107,7 +107,7 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
             f"coefficient vector has length {pis.shape[-1]}, model has {spec.k} terms"
         )
     distinct, inverse = std.distinct
-    plans = []  # per cell: (lead terms, (j, key, column) of the other terms)
+    plans = []  # per cell: (lead terms, (j, column) of the other terms)
     for z1, z2 in cells:
         cols = design_columns(spec, z1, z2, distinct)
         live = [j for j in range(spec.k) if cols[j].any()]
@@ -115,7 +115,7 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
         while live and not spec.terms[live[0]].covariate:
             lead.append(live.pop(0))
         plans.append(([(j, cols[j, 0]) for j in lead],
-                      [(j, (j, cols[j].tobytes()), cols[j]) for j in live]))
+                      [(j, cols[j]) for j in live]))
     stack = pis.reshape(-1, spec.k)
     out = np.empty((len(cells), len(stack)))
     step = max(1, BLOCK_ELEMENTS // len(distinct))
@@ -127,10 +127,10 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
             for j, v in lead_terms:
                 lead += p[:, j] * v
             eta = np.repeat(lead[:, None], len(distinct), axis=-1)
-            for j, key, col in terms:
-                if key not in products:
-                    products[key] = p[:, j, None] * col
-                eta += products[key]
+            for j, col in terms:
+                if j not in products:
+                    products[j] = p[:, j, None] * col
+                eta += products[j]
             mu = expit_stable(eta)
             out[c, start:start + len(p)] = np.mean(
                 np.take(mu, inverse, axis=-1), axis=-1)
@@ -150,10 +150,8 @@ def marginal_risk(pi, spec: ModelSpec, z1, z2, std: StandardizationSet) -> float
 
 def effect_triple(pi, spec: ModelSpec, std: StandardizationSet) -> EffectTriple:
     """Evaluate (te1, te2, int) at one coefficient vector."""
-    te1, te2, int_ = effect_triples_batch(
-        np.asarray(pi, dtype=float)[None, :], spec, std)
-    return EffectTriple(te1=float(te1[0]), te2=float(te2[0]),
-                        int_=float(int_[0]))
+    te1, te2, int_ = effect_triples_batch(pi, spec, std)
+    return EffectTriple(te1=float(te1), te2=float(te2), int_=float(int_))
 
 
 def effect_triples_batch(pis, spec: ModelSpec, std: StandardizationSet):

@@ -36,6 +36,7 @@ destroys.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -155,9 +156,4 @@ def cardia_fit() -> FitResult:
     cohort = cardia_cohort()
     refit = fit_logistic(build_design(cohort, CARDIA_MODEL), cohort.y,
                          term_names=CARDIA_MODEL.names)
-    return FitResult(pi_hat=PUBLISHED_COEFFICIENTS.copy(),
-                     sigma_hat=refit.sigma_hat,
-                     loglik=refit.loglik,
-                     iterations=refit.iterations,
-                     converged=refit.converged,
-                     term_names=CARDIA_MODEL.names)
+    return replace(refit, pi_hat=PUBLISHED_COEFFICIENTS.copy())

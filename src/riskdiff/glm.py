@@ -29,25 +29,27 @@ DEVIANCE_RTOL = 1e-10
 MAX_ITER = 100
 RANK_PIVOT_RTOL = 1e-10
 RANK_BLOCK = 512          # rows per QR call in the rank check
+#: Exposure factor of each term kind; a kind ending in "x" is that factor
+#: times a covariate, any other kind is the factor itself.
+_EXPOSURE = {"intercept": "1", "z1": "z1", "z2": "z2", "z1z2": "z1*z2",
+             "x": "1", "z1x": "z1", "z2x": "z2"}
 
 
 @dataclass(frozen=True)
 class Term:
     """One design-matrix column.
 
-    kind is one of "intercept", "z1", "z2", "z1z2", "x", "z1x", "z2x";
-    covariate is the 1-based covariate index for the x kinds.
+    kind is a key of _EXPOSURE; covariate is the 1-based covariate index
+    for the kinds ending in "x".
     """
 
     kind: str
     covariate: int = 0
 
-    _KINDS = ("intercept", "z1", "z2", "z1z2", "x", "z1x", "z2x")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _EXPOSURE:
             raise ValueError(f"unknown term kind {self.kind!r}")
-        needs_cov = self.kind in ("x", "z1x", "z2x")
+        needs_cov = self.kind.endswith("x")
         if needs_cov and self.covariate < 1:
             raise ValueError(f"term {self.kind!r} needs a covariate index >= 1")
         if not needs_cov and self.covariate != 0:
@@ -55,15 +57,11 @@ class Term:
 
     @property
     def name(self) -> str:
-        if self.kind == "intercept":
-            return "1"
-        if self.kind == "z1z2":
-            return "z1*z2"
-        if self.kind == "x":
-            return f"x{self.covariate}"
-        if self.kind in ("z1x", "z2x"):
-            return f"{self.kind[:2]}*x{self.covariate}"
-        return self.kind
+        """The exposure factor, or x{c}, or factor*x{c}."""
+        factor, c = _EXPOSURE[self.kind], self.covariate
+        if not c:
+            return factor
+        return f"x{c}" if factor == "1" else f"{factor}*x{c}"
 
     @classmethod
     def parse(cls, text: str) -> "Term":
@@ -132,16 +130,14 @@ def design_columns(spec: ModelSpec, z1, z2, rows) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=float)
     n, m = rows.shape
-    # each term is an exposure factor times a covariate (or 1.0); multiplying
-    # by 1.0 is exact, so this form changes no bits of any column
-    exposure = {"intercept": 1.0, "z1": z1, "z2": z2, "z1z2": z1 * z2,
-                "x": 1.0, "z1x": z1, "z2x": z2}
+    # multiplying by a factor of 1.0 is exact, so this changes no column bits
+    factor = {"1": 1.0, "z1": z1, "z2": z2, "z1*z2": z1 * z2}
     cols = np.empty((spec.k, n))
     for j, t in enumerate(spec.terms):
         if t.covariate > m:
             raise BadCovariateIndex(t.covariate, m)
         x = rows[:, t.covariate - 1] if t.covariate else 1.0
-        cols[j] = exposure[t.kind] * x
+        cols[j] = factor[_EXPOSURE[t.kind]] * x
     return cols
 
 
@@ -283,6 +279,10 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
             )
         rel = abs(ll_new - ll) / (abs(ll) + 1e-300)
         ll = ll_new
+    if np.all((2.0 * y - 1.0) * eta > MAX_ABS_COEF):
+        raise SeparationDetected(
+            f"every fitted logit is beyond {MAX_ABS_COEF} on its outcome's "
+            "side; the data are completely separated")
 
     sigma = np.linalg.inv(info)
     sigma = (sigma + sigma.T) / 2.0

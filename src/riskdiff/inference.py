@@ -82,13 +82,11 @@ class ConfidenceEllipse:
         disc = math.sqrt(max((tr / 2.0) ** 2 - det, 0.0))
         lam = (tr / 2.0 + disc, tr / 2.0 - disc)
         vecs = []
-        for l in lam:
+        for i, l in enumerate(lam):
             if abs(b) > 1e-300:
                 v = np.array([l - c, b])
-            elif a >= c:
-                v = np.array([1.0, 0.0]) if l == lam[0] else np.array([0.0, 1.0])
-            else:
-                v = np.array([0.0, 1.0]) if l == lam[0] else np.array([1.0, 0.0])
+            else:  # diagonal: the larger variance's coordinate axis first
+                v = np.eye(2)[i if a >= c else 1 - i]
             vecs.append(v / np.linalg.norm(v))
         half = tuple(math.sqrt(l * self.quantile) for l in lam)
         return half, tuple(vecs)
@@ -208,10 +206,8 @@ def tercile_report(dist: EffectDistribution, conditioning: str) -> TercileReport
 def histogram_csv(samples, n_bins: int = 30) -> str:
     """Equal-width histogram as CSV (bin_lo, bin_hi, count) for plotting."""
     counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=n_bins)
-    lines = ["bin_lo,bin_hi,count"]
-    for i, c in enumerate(counts):
-        lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-    return "\n".join(lines) + "\n"
+    return _plot_csv("bin_lo,bin_hi,count", zip(
+        edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
 def delta_method_check(fit: FitResult, spec: ModelSpec,
@@ -239,8 +235,11 @@ def delta_method_check(fit: FitResult, spec: ModelSpec,
 
 
 def ellipse_csv(ellipse: ConfidenceEllipse, n_points: int = 64) -> str:
-    pts = ellipse.boundary(n_points)
-    lines = ["x,y"]
-    for x, y in pts:
-        lines.append(f"{float(x)!r},{float(y)!r}")
+    """The ellipse's boundary polyline as CSV (x, y) for plotting."""
+    return _plot_csv("x,y", ellipse.boundary(n_points).tolist())
+
+
+def _plot_csv(header: str, rows) -> str:
+    """The header line, then one line of repr'd values per row."""
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"

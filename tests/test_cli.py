@@ -483,3 +483,28 @@ class TestTracedBenchmarkNames:
                    if not callable(getattr(cli, name, None))]
         assert missing == []
         assert callable(EffectDistribution.to_csv)
+
+
+class TestSeparatedCohort:
+    """A completely separated cohort with a large-scale covariate is a fit
+    error (exit 3), not a converged fit or an exit-4 report."""
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_exit_3_with_json(self, command, tmp_path, capsys):
+        lines = ["y,z1,z2,c"]
+        for i in range(60):
+            c = 10.0 if (i // 4) % 2 else -10.0
+            lines.append(f"{int(c > 0)},{i % 2},{(i // 2) % 2},{c}")
+        p = tmp_path / "separated.csv"
+        p.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--input", str(p), "--covariate-cols", "c",
+                "--model", "z1,z2,z1*z2,x1", "--out", str(out)]
+        if command == "report":
+            argv += ["--draws", "2000", "--seed", "1"]
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["exit_code"] == 3
+        assert payload["errors"][0]["error"] == "SeparationDetected"
+        assert not any(out.iterdir())

@@ -367,3 +367,18 @@ class TestExpitStable:
         for eta in blocks:
             assert np.all(expit_stable(eta).view(np.uint64)
                           == expit_where(eta).view(np.uint64))
+
+
+class TestCompleteSeparationOnTheLogitScale:
+    """y = 1 exactly when a covariate of scale c is positive. The MLE does
+    not exist, but the coefficient can stay below MAX_ABS_COEF while every
+    fitted logit grows past it on the side of its outcome."""
+
+    @pytest.mark.parametrize("scale", [10.0, 60.0])
+    def test_separated_covariate_raises(self, scale):
+        i = np.arange(60)
+        z1, z2 = i % 2, (i // 2) % 2
+        c = np.where((i // 4) % 2, scale, -scale)
+        X = np.column_stack([np.ones(60), z1, z2, z1 * z2, c])
+        with pytest.raises(SeparationDetected, match="completely separated"):
+            fit_logistic(X, (c > 0).astype(float))

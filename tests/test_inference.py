@@ -13,6 +13,7 @@ from riskdiff.errors import DegenerateCloud, EmptySamples, TooFewDraws
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec
 from riskdiff.inference import (
+    ConfidenceEllipse,
     IntervalEstimate,
     chi2_2df_quantile,
     confidence_ellipse,
@@ -354,3 +355,27 @@ class TestTercileTies:
             warnings.simplefilter("error")
             with pytest.raises(EmptySamples, match="middle te1 tercile"):
                 tercile_report(dist, "te1")
+
+
+class TestDiagonalEllipseAxes:
+    """With b = 0 the axes are the coordinate axes, larger variance first."""
+
+    def _ellipse(self, shape):
+        return ConfidenceEllipse(center=np.zeros(2), shape=np.asarray(shape),
+                                 level=0.95, quantile=chi2_2df_quantile(0.05))
+
+    def test_isotropic_axes_are_orthogonal_and_on_the_ellipse(self):
+        ell = self._ellipse(2.0 * np.eye(2))
+        (h1, h2), (v1, v2) = ell.axes()
+        assert np.linalg.norm(v1) == 1.0 and np.linalg.norm(v2) == 1.0
+        assert v1 @ v2 == 0.0
+        assert h1 == h2
+        for q in ell.boundary(8):
+            m = float(q @ np.linalg.solve(ell.shape, q))
+            assert m == pytest.approx(ell.quantile, rel=1e-12)
+
+    def test_larger_second_variance_comes_first(self):
+        ell = self._ellipse(np.diag([1.0, 4.0]))
+        (h1, h2), (v1, v2) = ell.axes()
+        assert v1.tolist() == [0.0, 1.0] and v2.tolist() == [1.0, 0.0]
+        assert h1 == pytest.approx(2.0 * h2)

@@ -1,0 +1,77 @@
+"""Write every riskdiff CLI output on the benchmark's inputs for one seed.
+
+Usage:
+    python3 tools/outputs.py --src SRC --seed N --out DIR
+
+SRC is a `src` directory holding a `riskdiff` package. Every command runs
+that package (`python -m riskdiff.cli` with SRC first on PYTHONPATH),
+including the `fixture` run that makes the fixture-draws inputs. The
+inputs and operations are those of perfbench/workloads.py for seed N:
+
+- `fixture`, and the inputs of every workload;
+- `describe` as text (fixture-draws input) and as `--json` (cohort-rows);
+- `fit` on the ingest-fit and cohort-rows inputs;
+- `report` on fixture-draws (its 1e5 draws), and on cohort-rows with
+  `--workers 1` and `--workers 2`.
+
+Two packages give byte-identical outputs when `diff -r` of their two DIRs
+is empty, e.g. a parent commit's and a change's:
+
+    python3 tools/outputs.py --src ../parent/src --seed 1 --out /tmp/a
+    python3 tools/outputs.py --src src --seed 1 --out /tmp/b
+    diff -r /tmp/a /tmp/b
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def cli(argv: list[str], stdout=None) -> None:
+    """Run one CLI command on the package at workloads.SRC; it must exit 0."""
+    subprocess.run([sys.executable, "-m", "riskdiff.cli", *argv],
+                   env=workloads.child_env(), check=True,
+                   stdout=stdout or subprocess.DEVNULL)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    # setup() runs the `fixture` command through child_env(), which puts
+    # workloads.SRC first on PYTHONPATH
+    workloads.SRC = args.src.resolve()
+    out = args.out.resolve()
+    cli(["fixture", "--out", str(out / "fixture")])
+    inputs = {name: workloads.setup(w, args.seed, out / "inputs" / name)
+              for name, w in workloads.WORKLOADS.items()}
+
+    for name, flag, suffix in (("fixture-draws", [], "txt"),
+                               ("cohort-rows", ["--json"], "json")):
+        with open(out / f"describe-{name}.{suffix}", "wb") as fh:
+            cli(["describe", "--input", str(inputs[name].csv),
+                 *inputs[name].column_args(), *flag], stdout=fh)
+
+    runs = [("fit-ingest-fit", "ingest-fit", {}),
+            ("fit-cohort-rows", "cohort-rows", {"command": "fit"}),
+            ("report-fixture-draws", "fixture-draws", {}),
+            ("report-cohort-rows-w1", "cohort-rows", {"workers": 1}),
+            ("report-cohort-rows-w2", "cohort-rows", {"workers": 2})]
+    for run, name, change in runs:
+        w = replace(workloads.WORKLOADS[name], **change)
+        cli(workloads.cli_args(w, inputs[name], args.seed, out / run))
+    print(f"wrote the outputs for seed {args.seed} to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
