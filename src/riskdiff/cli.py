@@ -57,7 +57,8 @@ from .effects import StandardizationSet, effect_triple
 from .errors import (DataError, FitError, InferenceError, RiskdiffError,
                      TooFewDraws)
 from .fixtures import CARDIA_SCHEMA, cardia_cohort, cardia_fit
-from .glm import FitResult, ModelSpec, build_design, fit_logistic
+from .glm import (FitResult, ModelSpec, build_design,
+                  check_coefficient_bound, fit_logistic)
 from .inference import (
     confidence_ellipse,
     ellipse_csv,
@@ -143,6 +144,7 @@ def _fit(spec, cohort, fit_json=None) -> FitResult:
     if tuple(fit.term_names) != spec.names:
         raise FitError(f"fit terms {fit.term_names} do not match --model "
                        f"{spec.names}")
+    check_coefficient_bound(fit.pi_hat)
     return fit
 
 
@@ -305,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the guards report a non-finite value as an error; numpy stays quiet
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except RiskdiffError as e:
         code = next(code for cls, code in EXIT_CODES if isinstance(e, cls))
         return _error_json(code, [e])

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Cohort
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteEffects
 from .glm import ModelSpec, design_columns, expit_stable
 
 DUAL_INT_ATOL = 1e-12
@@ -157,10 +157,15 @@ def effect_triple(pi, spec: ModelSpec, std: StandardizationSet) -> EffectTriple:
 def effect_triples_batch(pis, spec: ModelSpec, std: StandardizationSet):
     """(te1, te2, int) arrays for a stack of coefficient vectors.
 
-    The dual-interaction identity is asserted for every vector.
+    The standardized risks must be finite, and the dual-interaction
+    identity is asserted for every vector.
     """
-    m00, m10, m01, m11 = _mean_risks(
-        pis, spec, ((0, 0), (1, 0), (0, 1), (1, 1)), std)
+    risks = _mean_risks(pis, spec, ((0, 0), (1, 0), (0, 1), (1, 1)), std)
+    if not np.all(np.isfinite(risks)):
+        raise NonFiniteEffects(
+            "a standardized risk is not finite: terms of the linear "
+            "predictor overflowed to infinities of opposite sign")
+    m00, m10, m01, m11 = risks
     te1 = m10 - m00
     te2 = m01 - m00
     int_via_te1 = (m11 - m01) - te1

@@ -79,6 +79,10 @@ class NotConverged(FitError):
     pass
 
 
+class NonFiniteFit(FitError):
+    pass
+
+
 class NegativeStatisticBeyondTolerance(FitError):
     pass
 
@@ -108,4 +112,8 @@ class DegenerateCloud(InferenceError):
 
 
 class TooFewDraws(InferenceError):
+    pass
+
+
+class NonFiniteEffects(InferenceError):
     pass

@@ -19,6 +19,7 @@ from .dataset import Cohort
 from .errors import (
     BadCovariateIndex,
     NegativeStatisticBeyondTolerance,
+    NonFiniteFit,
     NotConverged,
     RankDeficientDesign,
     SeparationDetected,
@@ -65,23 +66,17 @@ class Term:
 
     @classmethod
     def parse(cls, text: str) -> "Term":
-        s = text.strip().replace(" ", "")
-        if s == "1":
-            return cls("intercept")
-        if s in ("z1", "z2"):
-            return cls(s)
-        if s in ("z1*z2", "z2*z1"):
-            return cls("z1z2")
-        if "*" in s:
-            a, b = s.split("*", 1)
-            if a.startswith("x") and b in ("z1", "z2"):
-                a, b = b, a
-            if b.startswith("x") and a in ("z1", "z2"):
-                return cls(a + "x", covariate=int(b[1:]))
+        """The term whose '*'-factors, in any order and spacing, are one
+        kind's exposure factor as name writes it and at most one x{c}."""
+        factors = text.strip().replace(" ", "").split("*")
+        covs = [f for f in factors if f.startswith("x")]
+        exposure = "*".join(sorted(f for f in factors if f not in covs))
+        kinds = [k for k, f in _EXPOSURE.items()
+                 if k.endswith("x") == bool(covs)
+                 and exposure == ("" if k == "x" else f)]
+        if "" in factors or len(covs) > 1 or not kinds:
             raise ValueError(f"cannot parse model term {text!r}")
-        if s.startswith("x"):
-            return cls("x", covariate=int(s[1:]))
-        raise ValueError(f"cannot parse model term {text!r}")
+        return cls(kinds[0], *(int(c[1:]) for c in covs))
 
 
 @dataclass(frozen=True)
@@ -223,6 +218,14 @@ def _check_rank(X):
         )
 
 
+def check_coefficient_bound(beta):
+    """Raise SeparationDetected if any |coefficient| exceeds MAX_ABS_COEF."""
+    if np.max(np.abs(beta)) > MAX_ABS_COEF:
+        raise SeparationDetected(
+            f"coefficient magnitude exceeded {MAX_ABS_COEF} on the logit "
+            "scale; the likelihood appears unbounded")
+
+
 def fit_logistic(X, y, term_names=None) -> FitResult:
     """Maximize the Bernoulli log-likelihood under the logit link.
 
@@ -251,6 +254,10 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
         mu = expit_stable(eta)
         w = mu * (1.0 - mu)
         info = X.T @ (w[:, None] * X)
+        if not (math.isfinite(ll) and np.all(np.isfinite(info))):
+            raise NonFiniteFit(
+                "the log-likelihood or the observed information is not "
+                "finite: the covariates' scale overflows floating point")
         if rel < DEVIANCE_RTOL:
             break
         if iterations == MAX_ITER:
@@ -272,11 +279,7 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
                 break
             scale *= 0.5
         beta = cand
-        if np.max(np.abs(beta)) > MAX_ABS_COEF:
-            raise SeparationDetected(
-                f"coefficient magnitude exceeded {MAX_ABS_COEF} on the logit "
-                "scale; the likelihood appears unbounded"
-            )
+        check_coefficient_bound(beta)
         rel = abs(ll_new - ll) / (abs(ll) + 1e-300)
         ll = ll_new
     if np.all((2.0 * y - 1.0) * eta > MAX_ABS_COEF):

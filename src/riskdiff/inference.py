@@ -16,7 +16,7 @@ import numpy as np
 from .effects import StandardizationSet
 from .errors import DegenerateCloud, EmptySamples, TooFewDraws
 from .glm import FitResult, ModelSpec, design_columns, expit_stable
-from .montecarlo import EffectDistribution
+from .montecarlo import EffectDistribution, columns_csv
 
 MIN_TERCILE_DRAWS = 30
 
@@ -206,8 +206,7 @@ def tercile_report(dist: EffectDistribution, conditioning: str) -> TercileReport
 def histogram_csv(samples, n_bins: int = 30) -> str:
     """Equal-width histogram as CSV (bin_lo, bin_hi, count) for plotting."""
     counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=n_bins)
-    return _plot_csv("bin_lo,bin_hi,count", zip(
-        edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+    return columns_csv("bin_lo,bin_hi,count", [edges[:-1], edges[1:], counts])
 
 
 def delta_method_check(fit: FitResult, spec: ModelSpec,
@@ -236,10 +235,4 @@ def delta_method_check(fit: FitResult, spec: ModelSpec,
 
 def ellipse_csv(ellipse: ConfidenceEllipse, n_points: int = 64) -> str:
     """The ellipse's boundary polyline as CSV (x, y) for plotting."""
-    return _plot_csv("x,y", ellipse.boundary(n_points).tolist())
-
-
-def _plot_csv(header: str, rows) -> str:
-    """The header line, then one line of repr'd values per row."""
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return columns_csv("x,y", ellipse.boundary(n_points).T)

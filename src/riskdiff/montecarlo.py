@@ -46,7 +46,7 @@ DEFAULT_N_DRAWS = 1000
 #: gathered risks at 8 MB. The kernel's smaller (draws, distinct rows)
 #: temporaries are bounded by effects.BLOCK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 20
-#: Draws per block of draws.csv: formatting .tolist() floats is faster than
+#: Rows per block of a bundle CSV: formatting .tolist() values is faster than
 #: numpy scalars, and a block bounds how many are held at once.
 CSV_BLOCK = 4096
 
@@ -291,14 +291,20 @@ class EffectDistribution:
 
     def to_csv(self) -> str:
         """One line per draw; every value is the repr of its Python float."""
-        lines = ["draw_index,te1,te2,int"]
-        for start in range(0, self.n_draws, CSV_BLOCK):
-            block = slice(start, start + CSV_BLOCK)
-            lines += [f"{i},{a!r},{b!r},{c!r}" for i, a, b, c in zip(
-                range(start, self.n_draws),
-                *(np.asarray(v[block], dtype=float).tolist()
-                  for v in (self.te1, self.te2, self.int_)))]
-        return "\n".join(lines) + "\n"
+        return columns_csv("draw_index,te1,te2,int", [
+            np.arange(self.n_draws),
+            *(np.asarray(v, dtype=float) for v in (self.te1, self.te2,
+                                                   self.int_))])
+
+
+def columns_csv(header: str, columns) -> str:
+    """The header line, then one line per row of the 1-d columns: the repr
+    of each column's Python value, joined with ','."""
+    lines = [header]
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        lines += map(",".join, zip(*(map(repr, c[start:start + CSV_BLOCK]
+                                         .tolist()) for c in columns)))
+    return "\n".join(lines) + "\n"
 
 
 def fit_identity_hash(fit: FitResult) -> str:

@@ -249,6 +249,53 @@ class TestFailurePaths:
         self._fails(self._report(fixture_dir, bad), tmp_path / "out", 3,
                     capsys)
 
+    def _edited(self, fixture_dir, tmp_path, coefficients, age=None):
+        """A fit JSON with some coefficients set, and a cohort CSV whose
+        first age cell is age if one is given."""
+        d = json.loads((fixture_dir / "cardia_fit.json").read_text())
+        for term, value in coefficients.items():
+            d["coefficients"][d["terms"].index(term)] = value
+        (tmp_path / "fit.json").write_text(json.dumps(d))
+        lines = (fixture_dir / "cardia_cohort.csv").read_text().splitlines()
+        if age is not None:
+            row = lines[1].split(",")
+            row[lines[0].split(",").index("age")] = repr(age)
+            lines[1] = ",".join(row)
+        (tmp_path / "cohort.csv").write_text("\n".join(lines) + "\n")
+        return tmp_path / "fit.json", tmp_path / "cohort.csv"
+
+    def _one_error(self, argv, out, code, capsys):
+        """argv exits code with one JSON line on stderr, writing nothing."""
+        got, _, err = run(argv + ["--out", str(out)], capsys)
+        assert (got, err.count("\n"), err[-1]) == (code, 1, "\n")
+        assert not out.exists() or not any(out.iterdir())
+        (error,) = json.loads(err)["errors"]
+        return error["error"]
+
+    @pytest.mark.parametrize("coefficients", [
+        {"x1": 1e307}, {"x1": 1e307, "z1*x1": -1e307}, {"1": -15.5}])
+    def test_fit_json_beyond_coefficient_bound_exit_3(
+            self, coefficients, fixture_dir, tmp_path, capsys):
+        fit_json, _ = self._edited(fixture_dir, tmp_path, coefficients)
+        argv = self._report(fixture_dir, fit_json) + ["--draws", "500"]
+        assert self._one_error(argv, tmp_path / "out", 3,
+                               capsys) == "SeparationDetected"
+
+    def test_non_finite_effects_exit_4(self, fixture_dir, tmp_path, capsys):
+        fit_json, cohort = self._edited(fixture_dir, tmp_path,
+                                        {"x1": 2.0, "z1*x1": -2.0}, 1.7e308)
+        argv = self._report(fixture_dir, fit_json) + ["--draws", "500"]
+        argv[argv.index("--input") + 1] = str(cohort)
+        assert self._one_error(argv, tmp_path / "out", 4,
+                               capsys) == "NonFiniteEffects"
+
+    def test_overflowing_covariate_fit_exit_3(self, fixture_dir, tmp_path,
+                                              capsys):
+        _, cohort = self._edited(fixture_dir, tmp_path, {}, 1.7e308)
+        argv = ["fit", "--input", str(cohort), *COLS, "--model", MODEL]
+        assert self._one_error(argv, tmp_path / "out", 3,
+                               capsys) == "NonFiniteFit"
+
     def test_zero_draws_exit_4(self, fixture_dir, tmp_path, capsys):
         self._fails(self._report(fixture_dir) + ["--draws", "0"],
                     tmp_path / "out", 4, capsys)

@@ -11,6 +11,7 @@ write that fails leaves --out as it was.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -289,3 +290,66 @@ def test_exit_4_publishes_exactly_the_marginal_stage(cohort_lines, draws,
         "effects.json", "draws.csv",
         *(f"marginal_{w}.json" for w in ("te1", "te2", "int")),
         *(f"hist_{w}.csv" for w in ("te1", "te2", "int"))])
+
+
+def _finite(value):
+    """Whether every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _numbers_finite(path):
+    """Whether every number in a published JSON file, or in a CSV's
+    provenance comment and rows, is finite."""
+    if path.suffix == ".json":
+        return _finite(json.loads(path.read_text()))
+    comment, _, *rows = path.read_text().splitlines()
+    return _finite(json.loads(comment.removeprefix("# "))) and all(
+        math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+FIT_TERMS = json.loads(FIT_JSON["fixture"])["terms"]
+coefficient = st.tuples(st.sampled_from(FIT_TERMS), st.one_of(
+    st.floats(-1e307, 1e307), st.sampled_from([-2.0, 2.0, -16.0, 1e307])))
+
+
+@given(first=coefficient, second=st.one_of(st.none(), coefficient),
+       cell=st.one_of(st.none(), st.tuples(
+           st.one_of(st.floats(-1.7e308, 1.7e308), st.just(1.7e308)),
+           st.integers(0, 149), st.sampled_from([3, 4, 5]))))
+@settings(max_examples=60, deadline=None)
+def test_extreme_values_exit_cleanly(cohort_lines, first, second, cell):
+    """Coefficients up to 1e307 in --fit-json, or a covariate cell up to
+    1.7e308, exit 0, 2, 3 or 4 with at most one JSON object on stderr and
+    publish only finite numbers."""
+    fit = json.loads(FIT_JSON["fixture"])
+    for term, value in filter(None, (first, second)):
+        fit["coefficients"][FIT_TERMS.index(term)] = value
+    edit = (None, 0, 0) if cell is None else (repr(cell[0]), *cell[1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cohort.csv").write_text(_perturb(cohort_lines, edit))
+        (tmp / "fit.json").write_text(json.dumps(fit))
+        report = ["--seed", "1", "--draws", "200",
+                  "--fit-json", str(tmp / "fit.json")]
+        for command, extra in (("report", report), ("fit", [])):
+            out = tmp / command
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = main([command, "--input", str(tmp / "cohort.csv"),
+                             *COLS, "--model", MODEL, "--out", str(out),
+                             *extra])
+            err = stderr.getvalue()
+            event(f"{command} exit {code}")
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                assert err == ""
+            else:
+                assert err.count("\n") == 1
+                assert json.loads(err)["exit_code"] == code
+            for path in out.iterdir():
+                assert _numbers_finite(path), path.name

@@ -18,7 +18,7 @@ from riskdiff.effects import (
     marginal_risk,
     risk,
 )
-from riskdiff.errors import DimensionMismatch
+from riskdiff.errors import DimensionMismatch, NonFiniteEffects
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import (
     CARDIA_MODEL,
@@ -213,6 +213,26 @@ class TestEffectTripleType:
             EffectTriple(1.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             EffectTriple(0.0, 0.0, 2.5)
+
+
+class TestNonFiniteEffects:
+    """x1 and z1*x1 terms that overflow to opposite infinities give a NaN
+    risk, which is refused before the dual-interaction check."""
+
+    spec = ModelSpec.parse("z1,z2,x1,z1*x1")
+    std = single_row_std((1.7e308,))
+
+    def test_plug_in(self):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteEffects):
+            effect_triple([0.0, 0.0, 0.0, 2.0, -2.0], self.spec, self.std)
+
+    def test_one_vector_of_a_stack(self):
+        pis = np.zeros((5, 5))
+        assert np.all(np.isfinite(effect_triples_batch(pis, self.spec,
+                                                       self.std)))
+        pis[3, 3:] = (2.0, -2.0)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteEffects):
+            effect_triples_batch(pis, self.spec, self.std)
 
 
 # Reference kernel: the per-subject evaluation the effect functionals must

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,27 @@ class TestTermParsing:
         for bad in ("z3", "x0*x1", "z1*z1*z2", ""):
             with pytest.raises(ValueError):
                 Term.parse(bad)
+
+    @pytest.mark.parametrize("text,term", [
+        ("x2*z2", Term("z2x", 2)),
+        ("x01", Term("x", 1)),
+        ("x+1", Term("x", 1)),
+        (" z1 * x 2 ", Term("z1x", 2)),
+        *((bad, "cannot parse model term") for bad in (
+            "*x1", "x1*", "1*x1", "x1*1", "x1*x1", "z1*z2*x1", "z2*z1*z1",
+            "Z1")),
+        ("x", "invalid literal for int()"),
+        ("xa", "invalid literal for int()"),
+        ("x0", "needs a covariate index >= 1"),
+        ("x-1", "needs a covariate index >= 1"),
+    ])
+    def test_grammar(self, text, term):
+        """The accepted spellings and the message of each refusal."""
+        if isinstance(term, Term):
+            assert Term.parse(text) == term
+        else:
+            with pytest.raises(ValueError, match=re.escape(term)):
+                Term.parse(text)
 
     def test_names(self):
         assert [t.name for t in CARDIA_MODEL.terms] == \

@@ -5,7 +5,7 @@ import pytest
 
 from riskdiff import glm
 from riskdiff.effects import StandardizationSet
-from riskdiff.errors import NotConverged
+from riskdiff.errors import NonFiniteFit, NotConverged
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, Term, fit_logistic, lr_test
 from riskdiff.inference import confidence_ellipse
@@ -58,6 +58,16 @@ class TestFitLogistic:
         monkeypatch.setattr(glm, "MAX_ITER", 1)
         with pytest.raises(NotConverged, match="after 1 iterations"):
             fit_logistic(*two_group_design())
+
+    def test_non_finite_information_stops_the_fit(self, monkeypatch):
+        """A covariate whose square overflows fails at the first iterate."""
+        X, y = np.full((60, 1), 1e154), two_group_design()[1]
+        solves = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a: solves.append(a) or np.zeros(2))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteFit):
+            fit_logistic(X, y)
+        assert solves == []
 
     def test_lr_test_needs_a_positive_df(self):
         fit = fit_logistic(*two_group_design())

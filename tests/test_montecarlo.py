@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 from riskdiff import montecarlo
 from riskdiff.effects import BLOCK_ELEMENTS, StandardizationSet, effect_triple
-from riskdiff.errors import NotPositiveDefinite
+from riskdiff.errors import NonFiniteEffects, NotPositiveDefinite
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec, expit_stable
 from riskdiff.montecarlo import (
@@ -477,6 +477,22 @@ class TestEffectDistribution:
         assert np.all(np.abs(dist.te1) <= 1.0)
         assert np.all(np.abs(dist.te2) <= 1.0)
         assert np.all(np.abs(dist.int_) <= 2.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_draw_effects_raise(workers):
+    """Finite at pi_hat, but draws of x1 and z1*x1 overflow to opposite
+    infinities on a covariate of 1.7e308."""
+    spec = ModelSpec.parse("z1,z2,x1,z1*x1")
+    fit = FitResult(pi_hat=np.zeros(5),
+                    sigma_hat=np.diag([1e-4, 1e-4, 1e-4, 100.0, 100.0]),
+                    loglik=0.0, iterations=1, converged=True,
+                    term_names=spec.names)
+    std = StandardizationSet(rows=np.array([[1.7e308]]))
+    effect_triple(fit.pi_hat, spec, std)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteEffects):
+        effect_distribution(fit, spec, std, n_draws=100, seed=1,
+                            chunk_size=25, workers=workers)
 
 
 class TestSerialization:
