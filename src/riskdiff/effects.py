@@ -26,6 +26,8 @@ from .errors import DimensionMismatch, NonFiniteEffects
 from .glm import ModelSpec, design_columns, expit_stable
 
 DUAL_INT_ATOL = 1e-12
+#: The exposure cells (z1, z2) in the order contrasts takes their values.
+CELLS = ((0, 0), (1, 0), (0, 1), (1, 1))
 #: Most coefficient vectors x distinct covariate rows the effect kernel
 #: evaluates at once: each (draws, distinct rows) temporary of a block is
 #: 512 KB, so a block's products, predictors and risks stay in cache.
@@ -63,6 +65,12 @@ class StandardizationSet:
                                       return_index=True, return_inverse=True)
         return rows[first], inverse
 
+    def mean(self, values):
+        """Mean over every subject of values given per distinct row (last
+        axis): np.mean of their C-ordered gather into subject order, so its
+        bits are those of np.mean over the values evaluated per subject row."""
+        return np.mean(np.take(values, self.distinct[1], axis=-1), axis=-1)
+
 
 @dataclass(frozen=True)
 class EffectTriple:
@@ -85,9 +93,9 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
     The bits of every value are those of a per-subject evaluation, whatever
     the stack height:
 
-    - Each distinct covariate row's risk is computed once and gathered back
-      into subject order with np.take, which keeps the gathered array
-      C-ordered, so np.mean adds the same values in the same order.
+    - Each distinct covariate row's risk is computed once and averaged by
+      std.mean, which adds the same values in the same order as np.mean
+      over every subject row.
     - The linear predictor adds the terms one by one in model order, never
       by matrix multiplication. The leading terms that are equal on every
       row (intercept, z1, z2 and z1*z2 at a fixed cell) are summed once per
@@ -106,7 +114,7 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
         raise DimensionMismatch(
             f"coefficient vector has length {pis.shape[-1]}, model has {spec.k} terms"
         )
-    distinct, inverse = std.distinct
+    distinct = std.distinct[0]
     plans = []  # per cell: (lead terms, (j, column) of the other terms)
     for z1, z2 in cells:
         cols = design_columns(spec, z1, z2, distinct)
@@ -131,9 +139,7 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
                 if j not in products:
                     products[j] = p[:, j, None] * col
                 eta += products[j]
-            mu = expit_stable(eta)
-            out[c, start:start + len(p)] = np.mean(
-                np.take(mu, inverse, axis=-1), axis=-1)
+            out[c, start:start + len(p)] = std.mean(expit_stable(eta))
     return out.reshape((len(cells),) + pis.shape[:-1])
 
 
@@ -154,21 +160,25 @@ def effect_triple(pi, spec: ModelSpec, std: StandardizationSet) -> EffectTriple:
     return EffectTriple(te1=float(te1), te2=float(te2), int_=float(int_))
 
 
+def contrasts(m00, m10, m01, m11):
+    """(te1, te2, int) of the values of the four CELLS, int through te1."""
+    te1 = m10 - m00
+    return te1, m01 - m00, (m11 - m01) - te1
+
+
 def effect_triples_batch(pis, spec: ModelSpec, std: StandardizationSet):
     """(te1, te2, int) arrays for a stack of coefficient vectors.
 
     The standardized risks must be finite, and the dual-interaction
     identity is asserted for every vector.
     """
-    risks = _mean_risks(pis, spec, ((0, 0), (1, 0), (0, 1), (1, 1)), std)
+    risks = _mean_risks(pis, spec, CELLS, std)
     if not np.all(np.isfinite(risks)):
         raise NonFiniteEffects(
             "a standardized risk is not finite: terms of the linear "
             "predictor overflowed to infinities of opposite sign")
     m00, m10, m01, m11 = risks
-    te1 = m10 - m00
-    te2 = m01 - m00
-    int_via_te1 = (m11 - m01) - te1
+    te1, te2, int_via_te1 = contrasts(m00, m10, m01, m11)
     int_via_te2 = (m11 - m10) - te2
     if np.max(np.abs(int_via_te1 - int_via_te2)) > DUAL_INT_ATOL:
         raise AssertionError("interaction computed two ways disagrees")

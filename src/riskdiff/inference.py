@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import StandardizationSet
+from .effects import CELLS, StandardizationSet, contrasts
 from .errors import DegenerateCloud, EmptySamples, TooFewDraws
 from .glm import FitResult, ModelSpec, design_columns, expit_stable
 from .montecarlo import EffectDistribution, columns_csv
@@ -215,24 +215,20 @@ def delta_method_check(fit: FitResult, spec: ModelSpec,
 
     Each standardized risk m(z1, z2) = mean_i expit(d_i . pi) has the exact
     gradient mean_i mu_i (1 - mu_i) d_i, where d_i is subject i's design
-    row at (z1, z2) and mu_i its risk at pi_hat. The effect gradients are
-    the same contrasts of these four (dm) as the effects are of the risks,
-    and each variance is g' sigma_hat g. This exists as an independent
-    cross-check on the Monte Carlo variances, not as a reporting path.
+    row at (z1, z2) and mu_i its risk at pi_hat, averaged by std.mean. The
+    effect gradients are the contrasts of these four, and each variance is
+    g' sigma_hat g. This exists as an independent cross-check on the Monte
+    Carlo variances, not as a reporting path.
     """
-    dm = {}
-    for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        d = design_columns(spec, z1, z2, std.rows)
+    grads = []
+    for z1, z2 in CELLS:
+        d = design_columns(spec, z1, z2, std.distinct[0])
         mu = expit_stable(fit.pi_hat @ d)
-        dm[z1, z2] = d @ (mu * (1.0 - mu)) / std.n
-    grads = {
-        "te1": dm[1, 0] - dm[0, 0],
-        "te2": dm[0, 1] - dm[0, 0],
-        "int": dm[1, 1] - dm[0, 1] - dm[1, 0] + dm[0, 0],
-    }
-    return {name: float(g @ fit.sigma_hat @ g) for name, g in grads.items()}
+        grads.append(std.mean(d * (mu * (1.0 - mu))))
+    return {name: float(g @ fit.sigma_hat @ g)
+            for name, g in zip(("te1", "te2", "int"), contrasts(*grads))}
 
 
-def ellipse_csv(ellipse: ConfidenceEllipse, n_points: int = 64) -> str:
+def ellipse_csv(ellipse: ConfidenceEllipse) -> str:
     """The ellipse's boundary polyline as CSV (x, y) for plotting."""
-    return columns_csv("x,y", ellipse.boundary(n_points).T)
+    return columns_csv("x,y", ellipse.boundary().T)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from riskdiff import cli
 from riskdiff.cli import main
-from riskdiff.dataset import save_cohort
+from riskdiff.dataset import cohort_csv, save_cohort
 from riskdiff.fixtures import CARDIA_SCHEMA, cardia_cohort, cardia_fit
 
 COLUMNS = ["survival", "large_hospital", "advanced_stage", "age", "male",
@@ -38,11 +38,20 @@ TERMS = ["z1", "z2", "z1*z2", "x1", "x2", "x3", "z1*x1", "z2*x3",
 def _fit_json_variants():
     good = json.loads(cardia_fit().to_json())
     zero = dict(good, covariance=[0.0] * len(good["covariance"]))
+    k = len(good["terms"])
+    sigma = [good["covariance"][i:i + k] for i in range(0, k * k, k)]
+    # symmetric, non-negative diagonal, but a 2x2 minor is negative
+    sigma[0][1] = sigma[1][0] = 2.0 * math.sqrt(sigma[0][0] * sigma[1][1])
+    indefinite = dict(good, covariance=[v for row in sigma for v in row])
+    reordered = dict(good, terms=good["terms"][::-1],
+                     coefficients=good["coefficients"][::-1])
     return {
         "fixture": json.dumps(good),
         "zero-covariance": json.dumps(zero),
         "not-json": "not json",
         "missing-keys": json.dumps({"terms": good["terms"]}),
+        "not-positive-definite": json.dumps(indefinite),
+        "terms-reordered": json.dumps(reordered),
     }
 
 
@@ -353,3 +362,86 @@ def test_extreme_values_exit_cleanly(cohort_lines, first, second, cell):
                 assert json.loads(err)["exit_code"] == code
             for path in out.iterdir():
                 assert _numbers_finite(path), path.name
+
+
+@pytest.mark.parametrize("name, message", [
+    ("not-positive-definite", "NotPositiveDefinite"),
+    ("terms-reordered", "do not match"),
+])
+def test_unusable_fit_json_exit_3(cohort_lines, name, message, tmp_path):
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    (tmp_path / "fit.json").write_text(FIT_JSON[name])
+    out = tmp_path / "out"
+    code, err = _run(_command_argv("report", tmp_path, out)
+                     + ["--fit-json", str(tmp_path / "fit.json")])
+    assert code == 3
+    assert message in json.dumps(err["errors"])
+    assert not any(out.iterdir())
+
+
+CSV_ROWS = [line.split(",") for line in
+            cohort_csv(cardia_cohort(), CARDIA_SCHEMA).splitlines()]
+CELL_TEXTS = st.sampled_from(["", " ", "abc", '"1"', '"1,2"', " 1", "1.0",
+                              "2", "-0", "nan", "inf"])
+MARGINAL = {"effects.json", "draws.csv",
+            *(f"{kind}_{w}.{ext}" for w in ("te1", "te2", "int")
+              for kind, ext in (("marginal", "json"), ("hist", "csv")))}
+
+
+@st.composite
+def cohort_texts(draw):
+    """The fixture cohort as CSV text with a few cells replaced, a column
+    dropped or repeated, an optional BOM, LF or CRLF line ends and an
+    optional trailing blank line."""
+    rows = [list(r) for r in CSV_ROWS]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        rows[draw(st.integers(0, len(rows) - 1))][
+            draw(st.integers(0, len(COLUMNS) - 1))] = draw(CELL_TEXTS)
+    col = draw(st.integers(0, len(COLUMNS) - 1))
+    column = draw(st.sampled_from([None, None, None, "drop", "repeat"]))
+    if column == "drop":
+        rows = [r[:col] + r[col + 1:] for r in rows]
+    elif column == "repeat":
+        rows = [r + [r[col]] for r in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(map(",".join, rows)) + end
+    return (draw(st.sampled_from(["", "\ufeff"])) + text
+            + draw(st.sampled_from(["", "", end])))
+
+
+@given(text=cohort_texts())
+@settings(max_examples=40, deadline=None)
+def test_cohort_text_contract(text):
+    """describe, fit and report on generated cohort text exit 0, 2, 3 or 4
+    with at most one JSON object on stderr, and --out keeps what it held
+    plus either nothing (exit 2, 3), the marginal stage (exit 4) or the
+    whole bundle (exit 0)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cohort.csv").write_text(text, encoding="utf-8", newline="")
+        base = ["--input", str(tmp / "cohort.csv"), *COLS]
+        out = tmp / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        for command, extra in (("describe", []),
+                               ("fit", ["--model", MODEL, "--out", str(out)]),
+                               ("report", ["--model", MODEL, "--out", str(out),
+                                           "--seed", "1", "--draws", "200"])):
+            before = _snapshot(out)
+            code, err = _run([command, *base, *extra])
+            event(f"{command} exit {code}")
+            assert code in (0, 2, 3, 4)
+            assert err is None if code == 0 else err["exit_code"] == code
+            assert not any(p.name.startswith(".riskdiff-")
+                           for p in out.iterdir())
+            after = _snapshot(out)
+            added = after.keys() - before.keys()
+            if command == "describe" or code in (2, 3):
+                assert after == before
+            elif command == "fit":
+                assert added == {"fit.json"}
+            elif code == 4:
+                assert added == MARGINAL
+            else:
+                assert len(added) == 20 and MARGINAL < added
+            assert after["notes.txt"] == b"kept\n"

@@ -349,6 +349,48 @@ class TestKernelBits:
             assert np.array_equal(g, w)
 
 
+def _per_row(rows, w):
+    """A function of each covariate row that tells 0.0 from -0.0 in x1:
+    atan2(x1, -1) is pi at 0.0 and -pi at -0.0. w of shape (d, 1) stacks it."""
+    return np.arctan2(rows[:, 0], -1.0) + w * rows[:, -1]
+
+
+@st.composite
+def mean_cases(draw):
+    """Covariate rows with repeats, 0.0 and -0.0, up to 400 subjects (past
+    np.mean's 128-element pairwise blocks), and a 1-D or stacked weight."""
+    m = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(2, 8)), m),
+                           elements=value))
+    base[0, 0], base[1, 0] = 0.0, -0.0
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                          max_size=400))
+    shape = draw(st.sampled_from([(), (1, 1), (7, 1)]))
+    w = draw(hnp.arrays(np.float64, shape, elements=st.floats(-10, 10)))
+    return base[picks], w
+
+
+class TestStandardizationMean:
+    @given(mean_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_subject_mean(self, case):
+        rows, w = case
+        std = StandardizationSet(rows)
+        got = std.mean(_per_row(std.distinct[0], w))
+        want = np.mean(_per_row(rows, w), axis=-1)
+        assert got.shape == want.shape == np.shape(w)[:-1]
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+
+    def test_signed_zeros_stay_apart(self):
+        std = StandardizationSet(np.array([[0.0], [-0.0], [0.0]]))
+        assert len(std.distinct[0]) == 2
+        got = std.mean(_per_row(std.distinct[0], 0.0))
+        assert got == np.mean([np.pi, -np.pi, np.pi])
+
+
 @pytest.fixture(scope="class", params=[1, 12])
 def small_blocks(request):
     """Kernel blocks of at most 1 or 12 vectors x distinct rows, so that

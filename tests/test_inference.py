@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from riskdiff.effects import StandardizationSet, effect_triple
 from riskdiff.errors import DegenerateCloud, EmptySamples, TooFewDraws
 from riskdiff.fixtures import cardia_cohort, cardia_fit
-from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec
+from riskdiff.glm import (CARDIA_MODEL, FitResult, ModelSpec,
+                          design_columns, expit_stable)
 from riskdiff.inference import (
     ConfidenceEllipse,
     IntervalEstimate,
@@ -302,6 +303,25 @@ class TestDeltaMethodCheck:
             g = grad(attr)
             assert var[w] == pytest.approx(float(g @ fit.sigma_hat @ g),
                                            rel=1e-4)
+
+    def test_distinct_rows_match_all_rows_formula(self):
+        # the fixture's 150 subjects share 25 distinct covariate rows; the
+        # reference forms each gradient over every subject row
+        fit, cohort = cardia_fit(), cardia_cohort()
+        std = StandardizationSet.from_cohort(cohort)
+        assert len(std.distinct[0]) < std.n
+        dm = {}
+        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            d = design_columns(CARDIA_MODEL, z1, z2, cohort.x)
+            mu = expit_stable(fit.pi_hat @ d)
+            dm[z1, z2] = d @ (mu * (1.0 - mu)) / cohort.n
+        grads = {"te1": dm[1, 0] - dm[0, 0], "te2": dm[0, 1] - dm[0, 0],
+                 "int": dm[1, 1] - dm[0, 1] - dm[1, 0] + dm[0, 0]}
+        var = delta_method_check(fit, CARDIA_MODEL, std)
+        assert var.keys() == grads.keys()
+        for w, g in grads.items():
+            assert var[w] == pytest.approx(float(g @ fit.sigma_hat @ g),
+                                           rel=1e-12, abs=0)
 
 
 @pytest.fixture(scope="module")
