@@ -138,7 +138,8 @@ def _fit(spec, cohort, fit_json=None) -> FitResult:
                             term_names=spec.names)
     try:
         fit = FitResult.from_json(Path(fit_json).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError) as e:
         raise FitError(f"cannot use --fit-json {fit_json}: "
                        f"{type(e).__name__}: {e}") from None
     if tuple(fit.term_names) != spec.names:

@@ -48,7 +48,11 @@ class Cohort:
         x = np.array(x, dtype=float, order="C")
         if len(y) == 0 or x.shape != (len(y), len(covariate_names)):
             raise ValueError("x must be an (n, m) array with n >= 1")
-        y, z1, z2 = (np.array(c, dtype=int) for c in (y, z1, z2))
+        y, z1, z2 = (np.asarray(c) for c in (y, z1, z2))
+        for name, col in zip(("y", "z1", "z2"), (y, z1, z2)):
+            if not ((col == 0) | (col == 1)).all():
+                raise ValueError(f"{name} must hold only 0 or 1")
+        y, z1, z2 = (c.astype(int) for c in (y, z1, z2))
         for col in (y, z1, z2, x):
             col.flags.writeable = False
         cohort = cls.__new__(cls)
@@ -206,9 +210,8 @@ def save_cohort(cohort: Cohort, path, schema: ColumnSchema) -> None:
 
 
 def lower_median(values) -> float:
-    """Element at rank ceil(n/2) of the sorted values."""
-    s = sorted(values)
-    return s[(len(s) + 1) // 2 - 1]
+    """Element at rank ceil(n/2) of the sorted values (inverted_cdf)."""
+    return float(np.quantile(values, 0.5, method="inverted_cdf"))
 
 
 _CELL_ORDER = ((1, 1), (0, 1), (1, 0), (0, 0))
@@ -289,7 +292,7 @@ def describe(cohort: Cohort, split_at: dict | None = None) -> DescriptiveTable:
         if np.all((values == 0) | (values == 1)):
             levels = {f"{name}=0": values == 0, f"{name}=1": values == 1}
         else:
-            med = split_at.get(name, lower_median(values.tolist()))
+            med = split_at.get(name, lower_median(values))
             split_values[name] = med
             levels = {f"{name}<={med:g}": values <= med,
                       f"{name}>{med:g}": values > med}

@@ -21,26 +21,23 @@ from .montecarlo import EffectDistribution, columns_csv
 MIN_TERCILE_DRAWS = 30
 
 
-def quantile(samples, p: float) -> float:
-    """Empirical quantile, linear interpolation at rank h = (n-1)p + 1."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    n = len(s)
-    if n == 0:
+def quantile(samples, p):
+    """np.quantile's default (type 7): a float, or a tuple for a sequence p."""
+    s = np.asarray(samples, dtype=float)
+    if s.size == 0:
         raise EmptySamples("cannot take a quantile of no samples")
-    if not 0.0 <= p <= 1.0:
+    p = np.asarray(p, dtype=float)
+    if not ((0.0 <= p) & (p <= 1.0)).all():
         raise ValueError("p must lie in [0, 1]")
-    h = (n - 1) * p
-    lo = int(math.floor(h))
-    hi = min(lo + 1, n - 1)
-    frac = h - lo
-    return float(s[lo] + frac * (s[hi] - s[lo]))
+    q = np.quantile(s, p)
+    return tuple(q.tolist()) if p.ndim else float(q)
 
 
 def percentile_ci(samples, alpha: float) -> tuple[float, float]:
     """Equal-tail interval: alpha/2 probability cut from each tail."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return quantile(samples, alpha / 2.0), quantile(samples, 1.0 - alpha / 2.0)
+    return quantile(samples, (alpha / 2.0, 1.0 - alpha / 2.0))
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class IntervalEstimate:
     @classmethod
     def from_samples(cls, point, samples) -> "IntervalEstimate":
         """point with the equal-tail 50% and 95% intervals of samples."""
-        return cls(point=float(point), ci50=percentile_ci(samples, 0.5),
-                   ci95=percentile_ci(samples, 0.05))
+        lo95, lo50, hi50, hi95 = quantile(samples, (0.025, 0.25, 0.75, 0.975))
+        return cls(point=float(point), ci50=(lo50, hi50), ci95=(lo95, hi95))
 
     def to_dict(self) -> dict:
         return {"point": self.point, "ci50": list(self.ci50),
@@ -76,20 +73,10 @@ class ConfidenceEllipse:
         return float(d @ np.linalg.solve(self.shape, d)) <= self.quantile
 
     def axes(self):
-        """Half-axis lengths and unit directions via closed-form 2x2 eigensolve."""
-        a, b, c = self.shape[0, 0], self.shape[0, 1], self.shape[1, 1]
-        tr, det = a + c, a * c - b * b
-        disc = math.sqrt(max((tr / 2.0) ** 2 - det, 0.0))
-        lam = (tr / 2.0 + disc, tr / 2.0 - disc)
-        vecs = []
-        for i, l in enumerate(lam):
-            if abs(b) > 1e-300:
-                v = np.array([l - c, b])
-            else:  # diagonal: the larger variance's coordinate axis first
-                v = np.eye(2)[i if a >= c else 1 - i]
-            vecs.append(v / np.linalg.norm(v))
-        half = tuple(math.sqrt(l * self.quantile) for l in lam)
-        return half, tuple(vecs)
+        """Half-axis lengths and unit directions, the longer axis first."""
+        lam, vecs = np.linalg.eigh(self.shape)
+        return (tuple(np.sqrt(lam[::-1] * self.quantile).tolist()),
+                tuple(vecs.T[::-1]))
 
     def boundary(self, n_points: int = 64) -> np.ndarray:
         """Closed polyline tracing the ellipse (n_points rows of x, y)."""
@@ -190,8 +177,7 @@ def tercile_report(dist: EffectDistribution, conditioning: str) -> TercileReport
         )
     cond = dist.component(conditioning)
     ints = dist.int_
-    q1 = quantile(cond, 1.0 / 3.0)
-    q2 = quantile(cond, 2.0 / 3.0)
+    q1, q2 = quantile(cond, (1.0 / 3.0, 2.0 / 3.0))
     masks = tercile_masks(cond, (q1, q2))
     for label, m in zip(("lower", "middle", "upper"), masks):
         if not m.any():

@@ -52,6 +52,10 @@ def _fit_json_variants():
         "missing-keys": json.dumps({"terms": good["terms"]}),
         "not-positive-definite": json.dumps(indefinite),
         "terms-reordered": json.dumps(reordered),
+        # int(inf) raises OverflowError, json.loads a RecursionError
+        "iterations-1e999": json.dumps(dict(good, iterations=0)).replace(
+            '"iterations": 0', '"iterations": 1e999'),
+        "nested-100000-deep": "[" * 100_000,
     }
 
 
@@ -367,6 +371,8 @@ def test_extreme_values_exit_cleanly(cohort_lines, first, second, cell):
 @pytest.mark.parametrize("name, message", [
     ("not-positive-definite", "NotPositiveDefinite"),
     ("terms-reordered", "do not match"),
+    ("iterations-1e999", "OverflowError"),
+    ("nested-100000-deep", "RecursionError"),
 ])
 def test_unusable_fit_json_exit_3(cohort_lines, name, message, tmp_path):
     (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
@@ -445,3 +451,96 @@ def test_cohort_text_contract(text):
             else:
                 assert len(added) == 20 and MARGINAL < added
             assert after["notes.txt"] == b"kept\n"
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """The cohort and fit that `riskdiff fixture` writes."""
+    out = tmp_path_factory.mktemp("fixture")
+    assert _run(["fixture", "--out", str(out)]) == (0, None)
+    return out
+
+
+FIXTURE_FIT = json.loads(FIT_JSON["fixture"])
+K = len(FIXTURE_FIT["terms"])
+JUNK = st.sampled_from(["abc", [1.0], {"a": 1}, None, True, False, math.inf,
+                        -math.inf, math.nan])
+
+
+def _list(d, key):
+    """d[key] if it is a non-empty list, else None."""
+    v = d.get(key)
+    return v if isinstance(v, list) and v else None
+
+
+@st.composite
+def fit_edits(draw):
+    """One edit of a parsed fit file, as (kind, function of the payload)."""
+    kind = draw(st.sampled_from(["drop", "junk", "junk-entry", "shorten",
+                                 "lengthen", "rename", "reorder",
+                                 "asymmetric", "negative-diagonal", "array"]))
+    key = draw(st.sampled_from(sorted(FIXTURE_FIT)))
+    lst = draw(st.sampled_from(["coefficients", "covariance"]))
+    i = draw(st.integers(0, K * K - 1))
+    junk = draw(JUNK)
+    name = draw(st.sampled_from(["x9", "z1*x2", "z2", "", "Z1"]))
+    order = draw(st.permutations(range(K)))
+
+    def edit(d):
+        if kind == "array":
+            return [d]
+        if not isinstance(d, dict):
+            return d
+        if kind == "drop":
+            d.pop(key, None)
+        elif kind == "junk":
+            d[key] = junk
+        elif kind == "junk-entry" and _list(d, lst):
+            d[lst][i % len(d[lst])] = junk
+        elif kind == "shorten" and _list(d, lst):
+            d[lst] = d[lst][:-1]
+        elif kind == "lengthen" and _list(d, lst):
+            d[lst] = d[lst] + d[lst][-1:]
+        elif kind == "rename" and _list(d, "terms"):
+            d["terms"][i % len(d["terms"])] = name
+        elif kind == "reorder" and _list(d, "terms"):
+            d["terms"] = [d["terms"][j] for j in order if j < len(d["terms"])]
+        elif kind == "asymmetric" and _list(d, "covariance"):
+            cov = d["covariance"]
+            cov[1 % len(cov)] = 2.0 * FIXTURE_FIT["covariance"][1] + 1e-6
+        elif kind == "negative-diagonal" and _list(d, "covariance"):
+            cov, j = d["covariance"], (i % K) * (K + 1)
+            cov[j % len(cov)] = -1e-9 - FIXTURE_FIT["covariance"][j]
+        return d
+
+    return kind, edit
+
+
+@given(edits=st.lists(fit_edits(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_generated_fit_json_contract(fixture_files, edits):
+    """report --fit-json on the fixture fit with 1-3 generated edits exits
+    0, 3 or 4 with at most one JSON object on stderr, and leaves --out
+    unchanged on exit 3."""
+    fit = json.loads((fixture_files / "cardia_fit.json").read_text())
+    for _, edit in edits:
+        fit = edit(fit)
+    event(" + ".join(kind for kind, _ in edits))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # json.dumps writes an infinity as Infinity; 1e999 reads back as one
+        (tmp / "fit.json").write_text(
+            json.dumps(fit).replace("Infinity", "1e999"))
+        out = tmp / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        code, err = _run(["report", "--input",
+                          str(fixture_files / "cardia_cohort.csv"), *COLS,
+                          "--model", MODEL, "--out", str(out), "--seed", "1",
+                          "--draws", "200", "--fit-json",
+                          str(tmp / "fit.json")])
+        event(f"exit {code}")
+        assert code in (0, 3, 4)
+        assert err is None if code == 0 else err["exit_code"] == code
+        if code == 3:
+            assert _snapshot(out) == {"notes.txt": b"kept\n"}

@@ -369,6 +369,27 @@ class TestColumns:
             assert Cohort.from_columns(*changed,
                                        cohort.covariate_names) != cohort
 
+    @pytest.mark.parametrize("column", ["y", "z1", "z2"])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 1.0000001, float("nan")])
+    def test_from_columns_refuses_non_binary(self, column, bad):
+        columns = {"y": [1, 0], "z1": [0, 1], "z2": [1, 1]}
+        columns[column] = [0, bad]
+        with pytest.raises(ValueError, match=f"^{column} must hold only 0"):
+            Cohort.from_columns(*columns.values(), [[1.0], [2.0]], ("x1",))
+
+    def test_from_columns_names_the_first_bad_column(self):
+        with pytest.raises(ValueError, match="^z1 "):
+            Cohort.from_columns([1, 0], [2, 0], [0, -1], [[1.0], [2.0]],
+                                ("x1",))
+
+    def test_from_columns_takes_bools_and_float_zeros_and_ones(self):
+        cohort = Cohort.from_columns(np.array([True, False]), [0.0, 1.0],
+                                     np.array([1.0, 1.0]), [[1.0], [2.0]],
+                                     ("x1",))
+        for col, want in ((cohort.y, [1, 0]), (cohort.z1, [0, 1]),
+                          (cohort.z2, [1, 1])):
+            assert col.dtype.kind == "i" and col.tolist() == want
+
     def test_records_rebuild_the_cohort(self, tmp_path):
         p = tmp_path / "cardia.csv"
         save_cohort(cardia_cohort(), p, CARDIA_SCHEMA)
@@ -404,6 +425,16 @@ class TestLowerMedian:
 
     def test_single(self):
         assert lower_median([7]) == 7
+
+    @given(st.one_of(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1),
+                     st.lists(st.floats(-1e300, 1e300), min_size=1),
+                     st.lists(st.sampled_from([-1.5, 0.0, 2.0]), min_size=1)))
+    @settings(max_examples=200)
+    def test_matches_sorted_list_rule(self, values):
+        """The element at rank ceil(n/2) of sorted(values), as a float."""
+        got = lower_median(values)
+        assert isinstance(got, float)
+        assert got == sorted(values)[(len(values) + 1) // 2 - 1]
 
 
 class TestDescribe:

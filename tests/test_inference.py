@@ -399,3 +399,138 @@ class TestDiagonalEllipseAxes:
         (h1, h2), (v1, v2) = ell.axes()
         assert v1.tolist() == [0.0, 1.0] and v2.tolist() == [1.0, 0.0]
         assert h1 == pytest.approx(2.0 * h2)
+
+
+def floor_frac_quantile(samples, p):
+    """The hand-written rule quantile replaced by np.quantile, with the two
+    order statistics it interpolates between."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    h = (len(s) - 1) * p
+    lo = int(math.floor(h))
+    hi = min(lo + 1, len(s) - 1)
+    return float(s[lo] + (h - lo) * (s[hi] - s[lo])), s[lo], s[hi]
+
+
+REPORTED_P = (0.025, 0.25, 0.75, 0.975, 1.0 / 3.0, 2.0 / 3.0)
+
+
+class TestQuantileReference:
+    @given(n=st.integers(1, 500), seed=st.integers(0, 2 ** 32 - 1),
+           distinct=st.sampled_from([None, 1, 2, 7]),
+           extra=st.lists(st.floats(0, 1), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_floor_frac_rule(self, n, seed, distinct, extra):
+        """np.quantile agrees with the floor/frac rule to within two
+        spacings of the larger order statistic, and a sequence of p gives
+        the scalar calls' values bit for bit. The samples span 18 decades
+        of magnitude and both signs; with `distinct` set they tie, taking
+        at most that many values."""
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-1e6, 1e6, n) * 10.0 ** rng.integers(-12, 1, n)
+        if distinct:
+            samples = rng.choice(samples[:distinct], n)
+        ps = (*REPORTED_P, *extra)
+        got = quantile(samples, ps)
+        assert isinstance(got, tuple) and len(got) == len(ps)
+        scalar = [quantile(samples, p) for p in ps]
+        assert all(isinstance(q, float) for q in scalar)
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(scalar).view(np.uint64))
+        for p, q in zip(ps, got):
+            ref, a, b = floor_frac_quantile(samples, p)
+            assert abs(q - ref) <= 2 * np.spacing(max(abs(a), abs(b))), p
+
+    def test_interval_ends_are_percentile_ci_ends(self):
+        s = np.random.default_rng(5).standard_normal(1001)
+        est = IntervalEstimate.from_samples(0.0, s)
+        assert est.ci50 == percentile_ci(s, 0.5)
+        assert est.ci95 == percentile_ci(s, 0.05)
+
+    def test_any_p_out_of_range_is_refused(self):
+        for ps in ((0.5, 1.5), (-0.1, 0.5), (float("nan"),)):
+            with pytest.raises(ValueError):
+                quantile([1.0, 2.0], ps)
+
+
+def closed_form_axes(shape, chi2):
+    """The 2x2 closed-form eigensolve that ConfidenceEllipse.axes used."""
+    a, b, c = shape[0, 0], shape[0, 1], shape[1, 1]
+    tr, det = a + c, a * c - b * b
+    disc = math.sqrt(max((tr / 2.0) ** 2 - det, 0.0))
+    lam = (tr / 2.0 + disc, tr / 2.0 - disc)
+    vecs = []
+    for i, l in enumerate(lam):
+        if abs(b) > 1e-300:
+            v = np.array([l - c, b])
+        else:
+            v = np.eye(2)[i if a >= c else 1 - i]
+        vecs.append(v / np.linalg.norm(v))
+    return tuple(math.sqrt(l * chi2) for l in lam), tuple(vecs)
+
+
+def rotated_shape(scale, ratio, theta):
+    """R(theta) diag(scale, scale / ratio) R(theta)', entry by entry."""
+    l1, l2 = scale, scale / ratio
+    c, s = math.cos(theta), math.sin(theta)
+    off = (l1 - l2) * c * s
+    return np.array([[l1 * c * c + l2 * s * s, off],
+                     [off, l1 * s * s + l2 * c * c]])
+
+
+def _ellipse(shape):
+    return ConfidenceEllipse(center=np.zeros(2), shape=shape, level=0.95,
+                             quantile=chi2_2df_quantile(0.05))
+
+
+# 1e-6 to pi/4 rad either side of a coordinate axis: near-diagonal shapes
+# down to 1e-6, below which the closed form loses the directions
+angles = st.tuples(st.floats(-6.0, math.log10(math.pi / 4)),
+                   st.sampled_from([-1.0, 1.0]),
+                   st.sampled_from([0.0, math.pi / 2])).map(
+    lambda t: t[1] * 10.0 ** t[0] + t[2])
+
+
+class TestAxesReference:
+    @given(log_scale=st.floats(-8.0, 4.0), log_ratio=st.floats(
+               math.log10(1.1), 3.0), theta=angles)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_closed_form(self, log_scale, log_ratio, theta):
+        """On SPD shapes with axis ratios from 1.1 to 1e3, rotated or
+        near-diagonal, eigh's axes are the closed form's to 1e-12. Nearer
+        to isotropic, or to diagonal, the closed form's (l - c, b) loses
+        the directions to cancellation."""
+        shape = rotated_shape(10.0 ** log_scale, 10.0 ** log_ratio, theta)
+        ell = _ellipse(shape)
+        (h1, h2), (v1, v2) = ell.axes()
+        (g1, g2), (w1, w2) = closed_form_axes(shape, ell.quantile)
+        assert h1 == pytest.approx(g1, rel=1e-12)
+        assert h2 == pytest.approx(g2, rel=1e-12)
+        assert abs(v1 @ w1) == pytest.approx(1.0, abs=1e-12)
+        assert abs(v2 @ w2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("diagonal", [(3.0, 1.0), (1.0, 3.0),
+                                          (2.0, 2.0), (5e-9, 5e-9)])
+    def test_diagonal_and_isotropic_shapes(self, diagonal):
+        """On diagonal shapes both give the coordinate axes; on an isotropic
+        one, where every direction is an axis, the same pair in some order."""
+        ell = _ellipse(np.diag(diagonal))
+        (h1, h2), (v1, v2) = ell.axes()
+        (g1, g2), (w1, w2) = closed_form_axes(ell.shape, ell.quantile)
+        assert (h1, h2) == pytest.approx((g1, g2), rel=1e-12)
+        if h1 != h2:
+            assert abs(v1 @ w1) == abs(v2 @ w2) == 1.0
+        else:
+            assert {tuple(np.abs(v1)), tuple(np.abs(v2))} == \
+                {tuple(np.abs(w1)), tuple(np.abs(w2))}
+        assert v1 @ v2 == 0.0
+
+    @pytest.mark.parametrize("theta", [1e-15, 1e-12, 1e-9, 1e-7,
+                                       math.pi / 2 - 1e-12])
+    def test_near_diagonal_directions_follow_the_rotation(self, theta):
+        """eigh's long axis is the rotation's first column to 1e-12, even
+        where the closed form's (l - c, b) loses it to cancellation."""
+        ell = _ellipse(rotated_shape(2.0, 1.5, theta))
+        _, (v1, v2) = ell.axes()
+        u1 = np.array([math.cos(theta), math.sin(theta)])
+        assert abs(v1[0] * u1[1] - v1[1] * u1[0]) <= 1e-12
+        assert abs(v1 @ v2) <= 1e-15

@@ -2,6 +2,7 @@
 
 Usage:
     python3 tools/outputs.py --src SRC --seed N --out DIR
+    python3 tools/outputs.py --src SRC --parent PARENT_SRC --seed N --out DIR
 
 SRC is a `src` directory holding a `riskdiff` package. Every command runs
 that package (`python -m riskdiff.cli` with SRC first on PYTHONPATH),
@@ -20,6 +21,10 @@ is empty, e.g. a parent commit's and a change's:
     python3 tools/outputs.py --src ../parent/src --seed 1 --out /tmp/a
     python3 tools/outputs.py --src src --seed 1 --out /tmp/b
     diff -r /tmp/a /tmp/b
+
+With --parent, one run does both: it writes PARENT_SRC's outputs to
+DIR/parent and SRC's to DIR/change, prints the relative path of every file
+that differs or is on one side only, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -41,18 +46,14 @@ def cli(argv: list[str], stdout=None) -> None:
                    stdout=stdout or subprocess.DEVNULL)
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--out", type=Path, required=True)
-    args = ap.parse_args()
+def write_outputs(src: Path, seed: int, out: Path) -> None:
+    """Every CLI output of the package in src for one seed, under out."""
     # setup() runs the `fixture` command through child_env(), which puts
     # workloads.SRC first on PYTHONPATH
-    workloads.SRC = args.src.resolve()
-    out = args.out.resolve()
+    workloads.SRC = src.resolve()
+    out = out.resolve()
     cli(["fixture", "--out", str(out / "fixture")])
-    inputs = {name: workloads.setup(w, args.seed, out / "inputs" / name)
+    inputs = {name: workloads.setup(w, seed, out / "inputs" / name)
               for name, w in workloads.WORKLOADS.items()}
 
     for name, flag, suffix in (("fixture-draws", [], "txt"),
@@ -68,9 +69,37 @@ def main() -> int:
             ("report-cohort-rows-w2", "cohort-rows", {"workers": 2})]
     for run, name, change in runs:
         w = replace(workloads.WORKLOADS[name], **change)
-        cli(workloads.cli_args(w, inputs[name], args.seed, out / run))
-    print(f"wrote the outputs for seed {args.seed} to {out}")
-    return 0
+        cli(workloads.cli_args(w, inputs[name], seed, out / run))
+    print(f"wrote the outputs for seed {seed} to {out}")
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    """Relative paths of the files under a or b whose bytes differ."""
+    files = {p.relative_to(root) for root in (a, b)
+             for p in root.rglob("*") if p.is_file()}
+    return sorted(str(f) for f in files
+                  if not ((a / f).is_file() and (b / f).is_file()
+                          and (a / f).read_bytes() == (b / f).read_bytes()))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, required=True)
+    ap.add_argument("--parent", type=Path, metavar="PARENT_SRC")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    if args.parent is None:
+        write_outputs(args.src, args.seed, args.out)
+        return 0
+    sides = {"parent": args.parent, "change": args.src}
+    for side, src in sides.items():
+        write_outputs(src, args.seed, args.out / side)
+    diff = differing(*(args.out / side for side in sides))
+    for path in diff:
+        print(path)
+    print(f"seed {args.seed}: {len(diff)} files differ")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
