@@ -50,6 +50,8 @@ class Cohort:
             raise ValueError("x must be an (n, m) array with n >= 1")
         y, z1, z2 = (np.asarray(c) for c in (y, z1, z2))
         for name, col in zip(("y", "z1", "z2"), (y, z1, z2)):
+            if col.shape != (len(y),):
+                raise ValueError(f"{name} must hold {len(y)} entries")
             if not ((col == 0) | (col == 1)).all():
                 raise ValueError(f"{name} must hold only 0 or 1")
         y, z1, z2 = (c.astype(int) for c in (y, z1, z2))
@@ -115,21 +117,22 @@ _PLAIN = dict.fromkeys(map(ord, "0123456789+-.eE, \n"))
 def _fast_columns(path, wanted):
     """(y, z1, z2, x) read by numpy, or None where csv and float() may differ.
 
-    Requires: the file decodes; its header line has no quote or CR and names
-    every wanted column; the body has a line, no blank line, no line over
+    Lines end at CR, LF or CRLF, for universal newlines as for csv.reader.
+    Requires: the file decodes; its header line has no quote and names every
+    wanted column; the body has a line, no blank line, no line over
     ``csv.field_size_limit()``, only ``0-9+-.eE``, comma, space and newline
     (so csv splits lines at commas, and numpy parses numbers with float()'s
     parser); numpy reads one row per line; binary cells are exactly "0" or
     "1" ("1.0" and " 1" stay 2 characters); covariates are finite.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             head, _, body = fh.read().partition("\n")
     except (OSError, UnicodeDecodeError):
         return None
     header = [h.strip() for h in head.split(",")]
     lines = body.removesuffix("\n").split("\n")
-    if ('"' in head or "\r" in head or "" in lines or body.translate(_PLAIN)
+    if ('"' in head or "" in lines or body.translate(_PLAIN)
             or not set(wanted) <= set(header)
             or max(len(head), max(map(len, lines))) > csv.field_size_limit()):
         return None

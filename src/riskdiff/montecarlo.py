@@ -57,14 +57,15 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
 # cephes ndtri: sqrt(2 pi), the branch point exp(-2), and the coefficients
-# of the central (P0/Q0) and tail (P1/Q1 for 2 <= z < 8, P2/Q2 for z >= 8)
-# rational approximations; Q's leading 1 is implicit.
+# of the central (P0/Q0) and tail (P1/Q1 for 2 <= x < 8, P2/Q2 for x >= 8)
+# rational approximations, highest power first for np.polyval, whose Horner
+# steps are cephes'; each Q starts with the 1.0 that p1evl leaves implicit.
 _S2PI = 2.50662827463100050242E0
 _EXP_M2 = 0.13533528323661269189
 _NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
              -5.66762857469070293439E1, 1.39312609387279679503E1,
              -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
              8.63602421390890590575E1, -2.25462687854119370527E2,
              2.00260212380060660359E2, -8.20372256168333339912E1,
              1.59056225126211695515E1, -1.18331621121330003142E0)
@@ -73,7 +74,7 @@ _NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
              1.46849561928858024014E1, 2.18663306850790267539E0,
              -1.40256079171354495875E-1, -3.50424626827848203418E-2,
              -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
              4.13172038254672030440E1, 1.50425385692907503408E1,
              2.50464946208309415979E0, -1.42182922854787788574E-1,
              -3.80806407691578277194E-2, -9.33259480895457427372E-4)
@@ -82,7 +83,7 @@ _NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
              2.01485389549179081538E-1, 1.23716634817820021358E-2,
              3.01581553508235416007E-4, 2.65806974686737550832E-6,
              6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
              1.37702099489081330271E0, 2.16236993594496635890E-1,
              1.34204006088543189037E-2, 3.28014464682127739104E-4,
              2.89247864745380683936E-6, 6.79019408009981274425E-9)
@@ -172,19 +173,6 @@ def _philox_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     return (words[:, :k] >> np.uint64(11)) * 0.5 ** 53
 
 
-def _polevl(x, coefs, monic=False):
-    """Horner's rule in cephes' order: polevl, or p1evl when monic.
-
-    p1evl's leading coefficient is an implicit 1, so coefs starts at the
-    next one.
-    """
-    a = x + coefs[0] if monic else coefs[0] * x + coefs[1]
-    for c in coefs[1 if monic else 2:]:
-        a *= x
-        a += c
-    return a
-
-
 def _libm_log(v):
     """Natural log of each entry by libm, as C code calls it.
 
@@ -196,9 +184,9 @@ def _libm_log(v):
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """Standard normal quantiles of a 1-d u in (0, 1), bit-identical to cephes.
 
-    Each entry is computed only on its branch: the central rational
-    approximation for exp(-2) < y < 1 - exp(-2), otherwise the tail ones in
-    x = sqrt(-2 log y) with y the nearer tail probability, split at x = 8.
+    With y the nearer tail probability: the central approximation where
+    exp(-2) < y < 1 - exp(-2), else the tail ones in x = sqrt(-2 log y),
+    split at x = 8; only tail entries pay for libm's log.
     """
     upper = u > 1.0 - _EXP_M2
     y = np.where(upper, 1.0 - u, u)
@@ -207,18 +195,13 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     central, tail = np.flatnonzero(is_central), np.flatnonzero(~is_central)
     c = y.take(central) - 0.5
     c2 = c * c
-    out.put(central, (c + c * (c2 * _polevl(c2, _NDTRI_P0)
-                                / _polevl(c2, _NDTRI_Q0, monic=True))) * _S2PI)
+    out.put(central, (c + c * (c2 * np.polyval(_NDTRI_P0, c2)
+                                / np.polyval(_NDTRI_Q0, c2))) * _S2PI)
     x = np.sqrt(-2.0 * _libm_log(y.take(tail)))
-    x0 = x - _libm_log(x) / x
     z = 1.0 / x
-    x1 = np.empty_like(x)
-    is_near = x < 8.0
-    for part, p, q in ((np.flatnonzero(is_near), _NDTRI_P1, _NDTRI_Q1),
-                       (np.flatnonzero(~is_near), _NDTRI_P2, _NDTRI_Q2)):
-        zp = z.take(part)
-        x1.put(part, zp * _polevl(zp, p) / _polevl(zp, q, monic=True))
-    x = x0 - x1
+    near, far = (z * np.polyval(p, z) / np.polyval(q, z)
+                 for p, q in ((_NDTRI_P1, _NDTRI_Q1), (_NDTRI_P2, _NDTRI_Q2)))
+    x = x - _libm_log(x) / x - np.where(x < 8.0, near, far)
     out.put(tail, np.where(upper.take(tail), x, -x))
     return out
 

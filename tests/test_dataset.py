@@ -251,14 +251,14 @@ class TestFastPathMatchesPerRowLoader:
         (_csv_case("y,z1,z2,x1", "   "), False),
         (_csv_case("y,z1,z2,x1", ""), False),
         ("y,z1,z2,x1\n" + ROW + "\n0,1,1,6", True),
-        (_csv_case("y,z1,z2,x1", ROW, "0,1,1,6", end="\r\n"), False),
+        (_csv_case("y,z1,z2,x1", ROW, "0,1,1,6", end="\r\n"), True),
         (_csv_case("y,z1,z2,x1", '1,0,0,"5"'), False),
         (_csv_case("y,z1,z2,x1,w", '1,0,0,5,"2,3"'), False),
         (_csv_case('"y",z1,z2,x1', ROW), False),
         # csv reads 4 columns after the quoted comma, a plain split 5
         (_csv_case('"a,b",y,z1,z2,x1', "9,1,0,0,1,7"), False),
-        # csv ends the header at the CR
-        ("y,z1,z2,x1,w\r1,0,0,5,7\n0,1,1,6,8\n", False),
+        # csv and universal newlines both end the header at the CR
+        ("y,z1,z2,x1,w\r1,0,0,5,7\n0,1,1,6,8\n", True),
         (_csv_case("y,z1,z2,x1", "1,0,0,5\x00"), False),
         (_csv_case("y,z1,z2,x1"), False),
         (_csv_case("y,z1,z2,x1", "1,0,0,5,7", "0,1,1,6"), True),
@@ -288,21 +288,23 @@ class TestFastPathMatchesPerRowLoader:
     def test_plain_files_take_fast_path(self, tmp_path):
         p = tmp_path / "cardia.csv"
         save_cohort(cardia_cohort(), p, CARDIA_SCHEMA)
+        crlf = p.read_bytes()  # csv.writer ends lines CRLF
         wanted = ["survival", "large_hospital", "advanced_stage",
                   *CARDIA_SCHEMA.covariates]
-        assert _fast_columns(p, wanted) is None  # csv.writer ends lines CRLF
-        p.write_text(p.read_text())  # the same rows, LF
-        assert _fast_columns(p, wanted) is not None
-        assert load_cohort(p, CARDIA_SCHEMA) == cardia_cohort()
+        for text in (crlf, crlf.replace(b"\r\n", b"\n")):
+            p.write_bytes(text)
+            assert _fast_columns(p, wanted) is not None
+            assert load_cohort(p, CARDIA_SCHEMA) == cardia_cohort()
         p = write_csv(tmp_path, "y,z1,z2,age,male,urban\n1,0,0,50,1,0\n")
         assert _fast_columns(p, ["y", "z1", "z2", "age"]) is not None
 
-    @example(cells=["1e"], binary=["1", "0", "0"], bad_binary=None)
-    @example(cells=[".e1"], binary=["1", "0", "0"], bad_binary=None)
-    @example(cells=["+-1"], binary=["1", "0", "0"], bad_binary=None)
-    @example(cells=["1 2"], binary=["1", "0", "0"], bad_binary=None)
+    @example(cells=["1e"], binary=["1", "0", "0"], bad_binary=None, end="\n")
+    @example(cells=[".e1"], binary=["1", "0", "0"], bad_binary=None,
+             end="\r\n")
+    @example(cells=["+-1"], binary=["1", "0", "0"], bad_binary=None, end="\r")
+    @example(cells=["1 2"], binary=["1", "0", "0"], bad_binary=None, end="\n")
     @example(cells=["-0.0", "1e-400"], binary=["0", "1", "1"],
-             bad_binary=None)
+             bad_binary=None, end="\r\n")
     @given(cells=st.lists(st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.integers(-10**20, 10**20).map(str),
@@ -310,13 +312,15 @@ class TestFastPathMatchesPerRowLoader:
         st.text("0123456789.", min_size=17, max_size=40),
         st.text(PLAIN_ALPHABET, max_size=8)), min_size=1, max_size=6),
         binary=st.lists(st.sampled_from(["0", "1"]), min_size=3, max_size=3),
-        bad_binary=st.one_of(st.none(), st.text(PLAIN_ALPHABET, max_size=3)))
+        bad_binary=st.one_of(st.none(), st.text(PLAIN_ALPHABET, max_size=3)),
+        end=st.sampled_from(["\n", "\r\n", "\r"]))
     @settings(max_examples=300, deadline=None)
-    def test_numeric_cells(self, cells, binary, bad_binary):
+    def test_numeric_cells(self, cells, binary, bad_binary, end):
         """Files of whitelisted characters only, so numpy parses each cell.
 
         The cells go into one covariate column, one per row, and into an
-        unused column; one binary cell may be replaced.
+        unused column; one binary cell may be replaced. Lines end in LF,
+        CRLF or CR.
         """
         rows = [",".join([*binary, c, c]) for c in cells]
         if bad_binary is not None:
@@ -324,8 +328,8 @@ class TestFastPathMatchesPerRowLoader:
         schema = ColumnSchema("y", "z1", "z2", ("x1",))
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "c.csv"
-            path.write_text(_csv_case("y,z1,z2,x1,w", *rows),
-                            encoding="utf-8")
+            path.write_bytes(
+                _csv_case("y,z1,z2,x1,w", *rows, end=end).encode("utf-8"))
             got = _load_outcome(load_cohort, path, schema)
             want = _load_outcome(per_row_load_cohort, path, schema)
         assert got == want
@@ -381,6 +385,22 @@ class TestColumns:
         with pytest.raises(ValueError, match="^z1 "):
             Cohort.from_columns([1, 0], [2, 0], [0, -1], [[1.0], [2.0]],
                                 ("x1",))
+
+    @pytest.mark.parametrize("column", ["z1", "z2"])
+    @pytest.mark.parametrize("length", [0, 1, 4])
+    def test_from_columns_refuses_a_column_of_another_length(self, column,
+                                                             length):
+        columns = {"y": [1, 0, 1], "z1": [0, 1, 1], "z2": [1, 1, 0]}
+        columns[column] = [0] * length
+        with pytest.raises(ValueError, match=f"^{column} must hold 3 "):
+            Cohort.from_columns(*columns.values(), [[1.0], [2.0], [3.0]],
+                                ("x1",))
+
+    @pytest.mark.parametrize("n, x", [(2, [[1.0]]), (2, [[1.0, 2.0]] * 2),
+                                      (2, [1.0, 2.0]), (0, np.zeros((0, 1)))])
+    def test_from_columns_refuses_x_of_another_shape_or_no_rows(self, n, x):
+        with pytest.raises(ValueError, match="^x must be an"):
+            Cohort.from_columns([1] * n, [0] * n, [1] * n, x, ("x1",))
 
     def test_from_columns_takes_bools_and_float_zeros_and_ones(self):
         cohort = Cohort.from_columns(np.array([True, False]), [0.0, 1.0],
