@@ -19,6 +19,10 @@ import numpy as np
 from .errors import (DataError, EmptyFile, MissingColumn, MissingValue,
                      NonBinaryValue, NonFiniteValue)
 
+#: Rows per block of a written CSV: formatting .tolist() values is faster
+#: than numpy scalars, and a block bounds how many are held at once.
+CSV_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SubjectRecord:
@@ -193,17 +197,23 @@ def load_cohort(path, schema: ColumnSchema) -> Cohort:
                                schema.covariates)
 
 
+def columns_csv(header: str, columns) -> str:
+    """The header line, then one line per row of the 1-d columns: the repr
+    of each column's Python value, joined with ','."""
+    lines = [header]
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        lines += map(",".join, zip(*(map(repr, c[start:start + CSV_BLOCK]
+                                         .tolist()) for c in columns)))
+    return "\n".join(lines) + "\n"
+
+
 def cohort_csv(cohort: Cohort, schema: ColumnSchema) -> str:
-    """The cohort as canonical CSV text, CRLF line ends (round-trips with
-    load_cohort)."""
+    """The cohort as canonical CSV text; round-trips with load_cohort."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([schema.outcome, schema.exposure1, schema.exposure2,
-                     *schema.covariates])
-    for y, z1, z2, x in zip(cohort.y.tolist(), cohort.z1.tolist(),
-                            cohort.z2.tolist(), cohort.x.tolist()):
-        writer.writerow([y, z1, z2, *(repr(v) for v in x)])
-    return buf.getvalue()
+    csv.writer(buf).writerow([schema.outcome, schema.exposure1,
+                              schema.exposure2, *schema.covariates])
+    return columns_csv(buf.getvalue().removesuffix("\r\n"),
+                       [cohort.y, cohort.z1, cohort.z2, *cohort.x.T])
 
 
 def save_cohort(cohort: Cohort, path, schema: ColumnSchema) -> None:

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import columns_csv
 from .effects import CELLS, StandardizationSet, contrasts
 from .errors import DegenerateCloud, EmptySamples, TooFewDraws
 from .glm import FitResult, ModelSpec, design_columns, expit_stable
-from .montecarlo import EffectDistribution, columns_csv
+from .montecarlo import EffectDistribution
 
 MIN_TERCILE_DRAWS = 30
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import columns_csv
 from .effects import StandardizationSet, effect_triples_batch
 from .errors import NotPositiveDefinite
 from .glm import FitResult, ModelSpec
@@ -46,9 +47,6 @@ DEFAULT_N_DRAWS = 1000
 #: gathered risks at 8 MB. The kernel's smaller (draws, distinct rows)
 #: temporaries are bounded by effects.BLOCK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 20
-#: Rows per block of a bundle CSV: formatting .tolist() values is faster than
-#: numpy scalars, and a block bounds how many are held at once.
-CSV_BLOCK = 4096
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -278,16 +276,6 @@ class EffectDistribution:
             np.arange(self.n_draws),
             *(np.asarray(v, dtype=float) for v in (self.te1, self.te2,
                                                    self.int_))])
-
-
-def columns_csv(header: str, columns) -> str:
-    """The header line, then one line per row of the 1-d columns: the repr
-    of each column's Python value, joined with ','."""
-    lines = [header]
-    for start in range(0, len(columns[0]), CSV_BLOCK):
-        lines += map(",".join, zip(*(map(repr, c[start:start + CSV_BLOCK]
-                                         .tolist()) for c in columns)))
-    return "\n".join(lines) + "\n"
 
 
 def fit_identity_hash(fit: FitResult) -> str:

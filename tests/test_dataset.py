@@ -288,10 +288,10 @@ class TestFastPathMatchesPerRowLoader:
     def test_plain_files_take_fast_path(self, tmp_path):
         p = tmp_path / "cardia.csv"
         save_cohort(cardia_cohort(), p, CARDIA_SCHEMA)
-        crlf = p.read_bytes()  # csv.writer ends lines CRLF
+        lf = p.read_bytes()  # save_cohort ends lines LF
         wanted = ["survival", "large_hospital", "advanced_stage",
                   *CARDIA_SCHEMA.covariates]
-        for text in (crlf, crlf.replace(b"\r\n", b"\n")):
+        for text in (lf.replace(b"\n", b"\r\n"), lf):
             p.write_bytes(text)
             assert _fast_columns(p, wanted) is not None
             assert load_cohort(p, CARDIA_SCHEMA) == cardia_cohort()

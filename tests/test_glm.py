@@ -201,6 +201,13 @@ class TestFitLogistic:
         with pytest.raises(RankDeficientDesign):
             fit_logistic(np.ones((1, 2)), np.array([1.0]))
 
+    def test_as_many_rows_as_terms(self):
+        # a full-rank square design fits every row exactly: that is
+        # separation, not too few rows
+        X = np.array([[1.0, 0.3, 1.2], [1.0, 1.1, -0.4], [1.0, -0.7, 0.5]])
+        with pytest.raises(SeparationDetected):
+            fit_logistic(X, np.array([1.0, 0.0, 1.0]))
+
     def test_score_equation_at_optimum(self):
         rng = np.random.default_rng(7)
         X = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])

@@ -125,6 +125,10 @@ class TestConfidenceEllipse:
     def test_contains_center(self):
         ell = confidence_ellipse(self._cloud(n=100), alpha=0.05)
         assert ell.contains(ell.center)
+        # a point at squared distance equal to the quantile is inside too
+        ell = ConfidenceEllipse(center=(0, 0), shape=np.eye(2), level=0.95,
+                                quantile=1.0)
+        assert ell.contains((1.0, 0.0))
 
     def test_swap_symmetry(self):
         pairs = self._cloud(n=400)
@@ -135,8 +139,10 @@ class TestConfidenceEllipse:
 
     def test_collinear_cloud(self):
         t = np.linspace(0, 1, 50)
-        with pytest.raises(DegenerateCloud):
-            confidence_ellipse(np.column_stack([t, 2 * t + 1]), alpha=0.05)
+        # a constant cloud: its det and its threshold are both exactly 0
+        for pairs in (np.column_stack([t, 2 * t + 1]), np.full((40, 2), 0.5)):
+            with pytest.raises(DegenerateCloud):
+                confidence_ellipse(pairs, alpha=0.05)
 
     def test_boundary_points_on_ellipse(self):
         pairs = self._cloud(n=2000)

@@ -11,13 +11,13 @@ from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtri
 
 from riskdiff import montecarlo
+from riskdiff.dataset import CSV_BLOCK
 from riskdiff.effects import BLOCK_ELEMENTS, StandardizationSet, effect_triple
 from riskdiff.errors import NonFiniteEffects, NotPositiveDefinite
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec, expit_stable
 from riskdiff.montecarlo import (
     CHUNK_ELEMENTS,
-    CSV_BLOCK,
     EffectDistribution,
     _draws,
     _ndtri,
