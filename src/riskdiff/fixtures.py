@@ -57,13 +57,13 @@ CARDIA_SCHEMA = ColumnSchema(
 PUBLISHED_COEFFICIENTS = np.array(
     [3.92, -3.82, -2.63, 0.87, -0.06, 0.95, -0.66, 0.07])
 
-#: Published descriptive counts per (z1, z2) exposure cell: overall
-#: events/total and events/total within age<=67, female, and rural levels.
+#: Published descriptive counts per (z1, z2) exposure cell, each an
+#: (events, total) pair: overall and within age<=67, female, and rural levels.
 CELL_COUNTS = {
-    (1, 1): dict(events=23, total=75, age_le=(12, 41), female=(4, 22), rural=(11, 32)),
-    (0, 1): dict(events=4, total=36, age_le=(2, 13), female=(1, 8), rural=(4, 26)),
-    (1, 0): dict(events=23, total=31, age_le=(11, 13), female=(3, 5), rural=(13, 15)),
-    (0, 0): dict(events=5, total=8, age_le=(2, 2), female=(0, 1), rural=(3, 6)),
+    (1, 1): dict(overall=(23, 75), age_le=(12, 41), female=(4, 22), rural=(11, 32)),
+    (0, 1): dict(overall=(4, 36), age_le=(2, 13), female=(1, 8), rural=(4, 26)),
+    (1, 0): dict(overall=(23, 31), age_le=(11, 13), female=(3, 5), rural=(13, 15)),
+    (0, 0): dict(overall=(5, 8), age_le=(2, 2), female=(0, 1), rural=(3, 6)),
 }
 
 #: Age threshold used by the published descriptive split.
@@ -79,29 +79,18 @@ AGE_VALUES = {
 }
 
 
-def _stratum_margins(cell, y):
-    """(m, n_age_le, n_female, n_rural) within one (z1, z2, y) stratum."""
-    if y == 1:
-        return (cell["events"], cell["age_le"][0], cell["female"][0],
-                cell["rural"][0])
-    return (cell["total"] - cell["events"],
-            cell["age_le"][1] - cell["age_le"][0],
-            cell["female"][1] - cell["female"][0],
-            cell["rural"][1] - cell["rural"][0])
-
-
 def _joint_counts(m, n_a, n_f, n_r):
     """Integer 2x2x2 joint counts with the given one-way margins.
 
     Expected counts under independence, rounded by largest remainder, then
-    repaired in one pass over the axes: a move along one axis leaves the
-    other two margins as they are.
+    repaired in one pass over the axes: the largest counts on each axis's
+    surplus side move across it, leaving the other two margins as they
+    are. Keyed in product((1, 0), repeat=3) order, cardia_cohort's row order.
     """
     keys = list(product((1, 0), repeat=3))
     if m == 0:
         return {k: 0 for k in keys}
-    probs = ((n_a / m, 1 - n_a / m), (n_f / m, 1 - n_f / m),
-             (n_r / m, 1 - n_r / m))
+    probs = [(n / m, 1 - n / m) for n in (n_a, n_f, n_r)]
     expected = {
         k: m * probs[0][1 - k[0]] * probs[1][1 - k[1]] * probs[2][1 - k[2]]
         for k in keys
@@ -113,25 +102,20 @@ def _joint_counts(m, n_a, n_f, n_r):
 
     target = (n_a, n_f, n_r)
 
-    def margins():
-        return tuple(sum(v for k, v in counts.items() if k[axis])
-                     for axis in range(3))
+    def margin(axis):
+        return sum(v for k, v in counts.items() if k[axis])
 
     for axis in range(3):
-        excess = margins()[axis] - target[axis]
-        moved = 0
+        excess = margin(axis) - target[axis]
+        side, need = int(excess > 0), abs(excess)
         for k in sorted(keys, key=lambda k: -counts[k]):
-            if moved == abs(excess):
-                break
-            src = k if (k[axis] == 1) == (excess > 0) else tuple(
-                1 - v if i == axis else v for i, v in enumerate(k))
-            dst = tuple(1 - v if i == axis else v for i, v in enumerate(src))
-            if counts[src] > 0:
-                take = min(counts[src], abs(excess) - moved)
-                counts[src] -= take
-                counts[dst] += take
-                moved += take
-    assert margins() == target, "margin repair failed"
+            src = k[:axis] + (side,) + k[axis + 1:]
+            dst = k[:axis] + (1 - side,) + k[axis + 1:]
+            take = min(counts[src], need)
+            counts[src] -= take
+            counts[dst] += take
+            need -= take
+    assert tuple(map(margin, range(3))) == target, "margin repair failed"
     return counts
 
 
@@ -141,10 +125,9 @@ def cardia_cohort() -> Cohort:
     for (z1, z2), cell in CELL_COUNTS.items():
         young, old = AGE_VALUES[(z1, z2)]
         for y in (1, 0):
-            m, n_a, n_f, n_r = _stratum_margins(cell, y)
-            counts = _joint_counts(m, n_a, n_f, n_r)
-            for (age_le, female, rural), c in sorted(counts.items(),
-                                                     reverse=True):
+            counts = _joint_counts(*(e if y else t - e
+                                     for e, t in cell.values()))
+            for (age_le, female, rural), c in counts.items():
                 age = young if age_le else old
                 rows += [(y, z1, z2, age, 1 - female, 1 - rural)] * c
     a = np.array(rows, dtype=float)

@@ -385,6 +385,26 @@ def test_unusable_fit_json_exit_3(cohort_lines, name, message, tmp_path):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_covariate_beyond_covariate_cols_exit_3(cohort_lines, command,
+                                                tmp_path):
+    """A --model term naming x4 of three --covariate-cols exits 3 with one
+    BadCovariateIndex object and writes nothing into --out."""
+    (tmp_path / "cohort.csv").write_text("\n".join(cohort_lines) + "\n")
+    out = tmp_path / "out"
+    argv = _command_argv(command, tmp_path, out) + ["--model", "z1,z2,x4"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 3
+    assert stderr.getvalue().count("\n") == 1
+    err = json.loads(stderr.getvalue())
+    assert err["exit_code"] == 3
+    assert [e["error"] for e in err["errors"]] == ["BadCovariateIndex"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 CSV_ROWS = [line.split(",") for line in
             cohort_csv(cardia_cohort(), CARDIA_SCHEMA).splitlines()]
 CELL_TEXTS = st.sampled_from(["", " ", "abc", '"1"', '"1,2"', " 1", "1.0",

@@ -34,3 +34,27 @@ def test_seed1_outputs_match_the_manifest(tmp_path, monkeypatch):
                     if want.get(p) != got.get(p))
     assert not differ, (f"{len(differ)} of the seed-1 outputs differ from "
                         f"{MANIFEST.name}: " + ", ".join(differ))
+
+
+def test_differing_names_each_changed_or_one_sided_file(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(sys, "path", [*sys.path])
+    spec = importlib.util.spec_from_file_location(
+        "outputs", ROOT / "tools" / "outputs.py")
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        (side / "sub").mkdir(parents=True)
+        (side / "x.csv").write_bytes(b"1,2\n")
+        (side / "sub" / "y.json").write_bytes(b"{}\n")
+    assert outputs.differing(a, b) == []
+
+    (b / "x.csv").write_bytes(b"1,3\n")
+    assert outputs.differing(a, b) == ["x.csv"]
+
+    (b / "x.csv").write_bytes(b"1,2\n")
+    (a / "sub" / "only.txt").write_bytes(b"")
+    assert outputs.differing(a, b) == ["sub/only.txt"]
+    assert outputs.differing(b, a) == ["sub/only.txt"]
