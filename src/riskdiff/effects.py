@@ -65,11 +65,17 @@ class StandardizationSet:
                                       return_index=True, return_inverse=True)
         return rows[first], inverse
 
+    @cached_property
+    def counts(self):
+        """How many subject rows each distinct row stands for, as floats."""
+        return np.bincount(self.distinct[1]).astype(float)
+
     def mean(self, values):
         """Mean over every subject of values given per distinct row (last
-        axis): np.mean of their C-ordered gather into subject order, so its
-        bits are those of np.mean over the values evaluated per subject row."""
-        return np.mean(np.take(values, self.distinct[1], axis=-1), axis=-1)
+        axis): each value weighted by its row's count, summed pairwise along
+        the contiguous last axis with no BLAS, and divided by n. Every
+        leading index is summed alone, so no bit depends on the stack height."""
+        return np.sum(values * self.counts, axis=-1) / self.n
 
 
 @dataclass(frozen=True)
@@ -90,24 +96,29 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
 
     pis is one coefficient vector (k,) or a stack (d, k); the result has one
     row per (z1, z2) in cells, each shaped like pis without its last axis.
-    The bits of every value are those of a per-subject evaluation, whatever
-    the stack height:
+    Each cell's risks are computed once per distinct covariate row and
+    averaged by std.mean. They differ from a per-subject evaluation only by
+    rounding, and their bits do not depend on the stack height:
 
-    - Each distinct covariate row's risk is computed once and averaged by
-      std.mean, which adds the same values in the same order as np.mean
-      over every subject row.
-    - The linear predictor adds the terms one by one in model order, never
-      by matrix multiplication. The leading terms that are equal on every
-      row (intercept, z1, z2 and z1*z2 at a fixed cell) are summed once per
-      vector. All-zero columns are skipped: with finite coefficients they
-      only add +-0, which can at most flip the sign of a zero predictor,
-      and both zeros have risk 0.5.
+    - A cell's linear predictor is eta = a + s. The lead a sums, in model
+      order, the live terms without a covariate (intercept, z1, z2, z1*z2
+      at a fixed cell): one value per vector. The part s sums, in model
+      order, the products pi_j * column_j of its live covariate terms. At
+      0/1 exposures a live column of term j is that term's covariate in
+      every cell, so cells with the same live covariate terms share s: the
+      default model has two parts for its four cells. A part whose terms
+      begin with another part's terms starts from that part's sum, which
+      adds the same values in the same order. All-zero columns are
+      skipped: with finite coefficients they only add +-0.
+    - expit(eta) = 1 / (1 + exp(-a) * exp(-s)), with one array exp per
+      part and one scalar exp per cell and vector. Where that product is
+      not finite (an overflow, or inf * 0), the entry is expit_stable(a + s)
+      instead, with s re-formed for just those entries, so saturated
+      predictors keep their limits and opposite infinities stay NaN.
     - The stack is walked in blocks of BLOCK_ELEMENTS // len(distinct)
       vectors, so a block's (draws, distinct rows) temporaries stay in
-      cache. Within a block each product pi_j * column_j is formed once for
-      every cell: at 0/1 exposures a live column of term j is that term's
-      covariate, or 1.0, in every cell. All of these are elementwise or
-      per-row operations, so no bit depends on which vectors share a block.
+      cache. All of the above is elementwise or per-row, so no bit depends
+      on which vectors share a block.
     """
     pis = np.asarray(pis, dtype=float)
     if pis.shape[-1] != spec.k:
@@ -115,31 +126,46 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
             f"coefficient vector has length {pis.shape[-1]}, model has {spec.k} terms"
         )
     distinct = std.distinct[0]
-    plans = []  # per cell: (lead terms, (j, column) of the other terms)
+    leads, keys, parts = [], [], {}  # per cell: lead terms, part key
     for z1, z2 in cells:
         cols = design_columns(spec, z1, z2, distinct)
         live = [j for j in range(spec.k) if cols[j].any()]
-        lead = []
-        while live and not spec.terms[live[0]].covariate:
-            lead.append(live.pop(0))
-        plans.append(([(j, cols[j, 0]) for j in lead],
-                      [(j, cols[j]) for j in live]))
+        leads.append([j for j in live if not spec.terms[j].covariate])
+        keys.append(tuple(j for j in live if spec.terms[j].covariate))
+        parts.setdefault(keys[-1], [(j, cols[j]) for j in keys[-1]])
     stack = pis.reshape(-1, spec.k)
     out = np.empty((len(cells), len(stack)))
     step = max(1, BLOCK_ELEMENTS // len(distinct))
-    for start in range(0, len(stack), step):
-        p = stack[start:start + step]
-        products = {}
-        for c, (lead_terms, terms) in enumerate(plans):
-            lead = np.zeros(len(p))
-            for j, v in lead_terms:
-                lead += p[:, j] * v
-            eta = np.repeat(lead[:, None], len(distinct), axis=-1)
-            for j, col in terms:
-                if j not in products:
-                    products[j] = p[:, j, None] * col
-                eta += products[j]
-            out[c, start:start + len(p)] = std.mean(expit_stable(eta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(stack), step):
+            p = stack[start:start + step]
+            exps = {}  # per part: s, then exp(-s)
+            for key, terms in parts.items():
+                base = max((k for k in exps if key[:len(k)] == k), key=len,
+                           default=())
+                s = (exps[base].copy() if base in exps
+                     else np.zeros((len(p), len(distinct))))
+                for j, col in terms[len(base):]:
+                    s += p[:, j, None] * col
+                exps[key] = s
+            for s in exps.values():
+                np.exp(np.negative(s, out=s), out=s)
+            for c, (lead_terms, key) in enumerate(zip(leads, keys)):
+                a = np.zeros(len(p))
+                for j in lead_terms:
+                    a += p[:, j]
+                r = np.exp(-a)[:, None] * exps[key]
+                bad = ()
+                if not np.isfinite(r.max()):  # inf or NaN if any entry is
+                    bad = np.nonzero(~np.isfinite(r))
+                r += 1.0
+                np.divide(1.0, r, out=r)
+                if bad:
+                    s = np.zeros(len(bad[0]))
+                    for j, col in parts[key]:
+                        s += p[bad[0], j] * col[bad[1]]
+                    r[bad] = expit_stable(a[bad[0]] + s)
+                out[c, start:start + len(p)] = std.mean(r)
     return out.reshape((len(cells),) + pis.shape[:-1])
 
 

@@ -43,9 +43,8 @@ from .glm import FitResult, ModelSpec
 JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 DEFAULT_N_DRAWS = 1000
 #: Most draws x standardization rows one chunk may evaluate at once: it
-#: sizes the pool's tasks and caps the chunk's (draws, subjects) array of
-#: gathered risks at 8 MB. The kernel's smaller (draws, distinct rows)
-#: temporaries are bounded by effects.BLOCK_ELEMENTS.
+#: sizes the pool's tasks. The kernel's (draws, distinct rows) temporaries
+#: are bounded by effects.BLOCK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 20
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -302,11 +301,11 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
     Evaluation is chunked for memory and parallelism; neither chunking nor
     worker count can change the result because each draw owns its own RNG
     substream. A chunk holds at most chunk_size draws and at most
-    CHUNK_ELEMENTS draws x subject rows, which sizes the pool's tasks and
-    bounds the (draws, subjects) array of gathered risks; within a chunk
-    the effect kernel works in blocks of at most effects.BLOCK_ELEMENTS
-    draws x distinct rows. At most one process per CPU and per chunk is
-    started.
+    CHUNK_ELEMENTS draws x subject rows, which sizes the pool's tasks;
+    within a chunk the effect kernel works in blocks of at most
+    effects.BLOCK_ELEMENTS draws x distinct rows, and its count-weighted
+    mean over distinct rows sums each draw alone. At most one process per
+    CPU and per chunk is started.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")

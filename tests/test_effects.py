@@ -235,9 +235,12 @@ class TestNonFiniteEffects:
             effect_triples_batch(pis, self.spec, self.std)
 
 
-# Reference kernel: the per-subject evaluation the effect functionals must
-# reproduce bit for bit -- every term added over every subject row in model
+# Per-subject reference: every term added over every subject row in model
 # order, the masked two-branch logistic transform, and the mean over all rows.
+# The kernel stays within KERNEL_ATOL of it, plus the rounding of the
+# reference's own predictor sum where large terms cancel (_eta_rounding).
+KERNEL_ATOL = 8 * np.finfo(float).eps
+
 
 def _reference_expit(eta):
     eta = np.asarray(eta, dtype=float)
@@ -258,12 +261,86 @@ def _reference_mean_risk(pi, spec, z1, z2, rows):
     return np.mean(_reference_expit(eta), axis=-1)
 
 
-def _reference_triples(pis, spec, rows):
-    m00, m10, m01, m11 = (_reference_mean_risk(pis, spec, z1, z2, rows)
+def _reference_triples(pis, spec, rows, mean_risk=_reference_mean_risk):
+    m00, m10, m01, m11 = (mean_risk(pis, spec, z1, z2, rows)
                           for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)))
     te1 = m10 - m00
     te2 = m01 - m00
     return te1, te2, (m11 - m01) - te1
+
+
+# Formula reference: the arithmetic the kernel must reproduce bit for bit,
+# written out plainly for the whole stack at once (its triples come from
+# _reference_triples with _formula_mean_risk). eta = a + s splits into
+# the terms without a covariate (a) and those with one (s), each summed in
+# model order; the risk is 1 / (1 + exp(-a) exp(-s)), or expit_stable(a + s)
+# where that product is not finite; the mean weights each distinct row by
+# its number of subjects and divides by n.
+
+def _distinct_counts(rows):
+    """Distinct rows, ordered by their bytes, and how often each occurs."""
+    bits = np.unique(rows.view(np.uint64), axis=0)
+    counts = (rows.view(np.uint64)[:, None] == bits).all(axis=-1).sum(axis=0)
+    return bits.view(float), counts.astype(float)
+
+
+def _formula_parts(pis, spec, z1, z2, rows):
+    """(a, s, exp(-a) exp(-s)) of one cell over a (d, k) stack."""
+    cols = design_columns(spec, z1, z2, rows)
+    a, s = np.zeros(len(pis)), np.zeros((len(pis), len(rows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, t in enumerate(spec.terms):
+            if t.covariate:
+                s += pis[:, j, None] * cols[j]
+            else:
+                a += pis[:, j] * cols[j, 0]
+        return a, s, np.exp(-a)[:, None] * np.exp(-s)
+
+
+def _formula_mean_risk(pis, spec, z1, z2, rows):
+    pis = np.asarray(pis, dtype=float)
+    distinct, counts = _distinct_counts(rows)
+    a, s, prod = _formula_parts(pis.reshape(-1, spec.k), spec, z1, z2,
+                                distinct)
+    risks = 1.0 / (1.0 + prod)
+    bad = ~np.isfinite(prod)
+    risks[bad] = expit_stable((a[:, None] + s)[bad])
+    return (np.sum(risks * counts, axis=-1) / len(rows)).reshape(
+        pis.shape[:-1])
+
+
+def _eta_rounding(pis, spec, rows):
+    """Per cell and vector, the mean over subject rows of
+    r (1 - r) (k + 1) eps sum_j |pi_j d_j|: two summation orders of the
+    same predictor each lie within (k + 1) eps / 2 sum_j |pi_j d_j| of the
+    exact sum, and a risk r moves by r (1 - r) per unit of predictor."""
+    bounds = []
+    for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        cols = design_columns(spec, z1, z2, rows)
+        r = _reference_expit(pis @ cols)
+        bounds.append(np.mean(r * (1 - r) * (np.abs(pis) @ np.abs(cols)),
+                              axis=-1))
+    return (spec.k + 1) * np.finfo(float).eps * np.array(bounds)
+
+
+def _assert_kernel(pis, spec, rows):
+    """The kernel's effects and marginal risks have the formula reference's
+    bits, and lie within KERNEL_ATOL of the per-subject reference plus that
+    reference's predictor rounding."""
+    std = StandardizationSet(rows)
+    got = effect_triples_batch(pis, spec, std)
+    rounding = _eta_rounding(pis, spec, rows)
+    for g, w, p in zip(got,
+                       _reference_triples(pis, spec, rows, _formula_mean_risk),
+                       _reference_triples(pis, spec, rows)):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert np.all(np.abs(g - p) <= KERNEL_ATOL + rounding.sum(axis=0))
+    for c, (z1, z2) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        m = marginal_risk(pis[0], spec, z1, z2, std)
+        assert np.array_equal(m, _formula_mean_risk(pis[0], spec, z1, z2,
+                                                    rows))
+        assert abs(m - _reference_mean_risk(pis[0], spec, z1, z2, rows)) \
+            <= KERNEL_ATOL + rounding[c, 0]
 
 
 @st.composite
@@ -298,25 +375,37 @@ class TestKernelBits:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_subject_reference(self, case):
         spec, rows, pis = case
-        std = StandardizationSet(rows)
-        got = effect_triples_batch(pis, spec, std)
-        want = _reference_triples(pis, spec, rows)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            assert np.array_equal(
-                marginal_risk(pis[0], spec, z1, z2, std),
-                _reference_mean_risk(pis[0], spec, z1, z2, rows))
+        _assert_kernel(pis, spec, rows)
 
-    def test_reaches_saturated_predictors(self):
-        # the strategy's coefficient scales drive the kernel past exp's range
+    def test_reaches_saturated_predictors(self, monkeypatch):
+        # coefficients this large drive exp(-a) and exp(-s) past exp's range:
+        # exp(-a) exp(-s) is inf or inf * 0 = NaN on some entries, and the
+        # kernel takes expit_stable(a + s) there
         spec = ModelSpec.parse("x1,z1,z2*x1,z1*z2,z2,z1*x1")
         rows = np.array([[8.0], [-8.0], [0.0], [-0.0], [8.0]])
-        pis = np.linspace(-100.0, 100.0, 7 * spec.k).reshape(7, spec.k)
+        pis = np.linspace(-300.0, 300.0, 7 * spec.k).reshape(7, spec.k)
         assert np.max(np.abs(pis @ design_columns(spec, 1, 1, rows))) > 800
-        got = effect_triples_batch(pis, spec, StandardizationSet(rows))
-        for g, w in zip(got, _reference_triples(pis, spec, rows)):
-            assert np.array_equal(g, w)
+        prods, fallback = [], []
+        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            a, s, prod = _formula_parts(pis, spec, z1, z2,
+                                        _distinct_counts(rows)[0])
+            prods.append(prod)
+            fallback.append((a[:, None] + s)[~np.isfinite(prod)])
+        assert np.any(np.isinf(prods)) and np.any(np.isnan(prods))
+        calls = []
+
+        def spy(eta):
+            calls.append(np.array(eta))
+            return expit_stable(eta)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(effects, "expit_stable", spy)
+            effect_triples_batch(pis, spec, StandardizationSet(rows))
+        assert calls
+        assert np.array_equal(np.sort(np.concatenate(calls)),
+                              np.sort(np.concatenate(fallback)),
+                              equal_nan=True)
+        _assert_kernel(pis, spec, rows)
 
     def test_expit_special_values(self):
         eta = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 709.0,
@@ -376,13 +465,31 @@ class TestStandardizationMean:
     @given(mean_cases())
     @settings(max_examples=100, deadline=None)
     def test_matches_per_subject_mean(self, case):
+        # bits of the count-weighted sum over distinct rows; within the
+        # rounding bound of two n-term sums of the per-subject values
         rows, w = case
         std = StandardizationSet(rows)
+        distinct, counts = _distinct_counts(rows)
         got = std.mean(_per_row(std.distinct[0], w))
-        want = np.mean(_per_row(rows, w), axis=-1)
+        formula = np.sum(_per_row(distinct, w) * counts, axis=-1) / len(rows)
+        values = _per_row(rows, w)
+        want = np.mean(values, axis=-1)
         assert got.shape == want.shape == np.shape(w)[:-1]
         assert np.array_equal(np.asarray(got).view(np.uint64),
-                              np.asarray(want).view(np.uint64))
+                              np.asarray(formula).view(np.uint64))
+        bound = 2 * len(rows) * np.finfo(float).eps
+        assert np.all(np.abs(got - want)
+                      <= bound * np.mean(np.abs(values), axis=-1))
+
+    @given(mean_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_bits_do_not_depend_on_stack_height(self, case):
+        std = StandardizationSet(case[0])
+        values = _per_row(std.distinct[0], np.linspace(-3.0, 3.0, 7)[:, None])
+        stacked = std.mean(values)
+        for i in range(7):
+            alone = std.mean(values[i:i + 1])
+            assert alone.tobytes() == stacked[i:i + 1].tobytes()
 
     def test_signed_zeros_stay_apart(self):
         std = StandardizationSet(np.array([[0.0], [-0.0], [0.0]]))
