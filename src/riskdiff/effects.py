@@ -71,11 +71,14 @@ class StandardizationSet:
         return np.bincount(self.distinct[1]).astype(float)
 
     def mean(self, values):
+        """Mean over every subject of values given per distinct row."""
+        return self.mean_weighted(values * self.counts)
+
+    def mean_weighted(self, weighted):
         """Mean over every subject of values given per distinct row (last
-        axis): each value weighted by its row's count, summed pairwise along
-        the contiguous last axis with no BLAS, and divided by n. Every
-        leading index is summed alone, so no bit depends on the stack height."""
-        return np.sum(values * self.counts, axis=-1) / self.n
+        axis) times their rows' counts: a pairwise np.sum of each leading
+        index alone, so no bit depends on the stack height, divided by n."""
+        return np.sum(weighted, axis=-1) / self.n
 
 
 @dataclass(frozen=True)
@@ -96,25 +99,28 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
 
     pis is one coefficient vector (k,) or a stack (d, k); the result has one
     row per (z1, z2) in cells, each shaped like pis without its last axis.
-    Each cell's risks are computed once per distinct covariate row and
-    averaged by std.mean. They differ from a per-subject evaluation only by
-    rounding, and their bits do not depend on the stack height:
+    Each cell's risks are computed once per distinct covariate row, times
+    that row's count, and averaged by std.mean_weighted. They differ from a
+    per-subject evaluation only by rounding, and their bits do not depend
+    on the stack height:
 
     - A cell's linear predictor is eta = a + s. The lead a sums, in model
       order, the live terms without a covariate (intercept, z1, z2, z1*z2
-      at a fixed cell): one value per vector. The part s sums, in model
-      order, the products pi_j * column_j of its live covariate terms. At
-      0/1 exposures a live column of term j is that term's covariate in
-      every cell, so cells with the same live covariate terms share s: the
-      default model has two parts for its four cells. A part whose terms
-      begin with another part's terms starts from that part's sum, which
-      adds the same values in the same order. All-zero columns are
-      skipped: with finite coefficients they only add +-0.
-    - expit(eta) = 1 / (1 + exp(-a) * exp(-s)), with one array exp per
-      part and one scalar exp per cell and vector. Where that product is
-      not finite (an overflow, or inf * 0), the entry is expit_stable(a + s)
-      instead, with s re-formed for just those entries, so saturated
-      predictors keep their limits and opposite infinities stay NaN.
+      at a fixed cell): one value per vector, taken with exp(-a) once per
+      stack. The part s sums, in model order, the products pi_j * column_j
+      of its live covariate terms; it is formed as -s from the products
+      (-pi_j) * column_j. At 0/1 exposures a live column of term j is that
+      term's covariate in every cell, so cells with the same live covariate
+      terms share s: the default model has two parts for its four cells. A
+      part whose terms begin with another part's terms starts from that
+      part's sum, which adds the same values in the same order. All-zero
+      columns are skipped: with finite coefficients they only add +-0.
+    - count * expit(eta) = count / (1 + exp(-a) * exp(-s)), with one array
+      exp per part. Where that product is not finite (an overflow, or
+      inf * 0), the entry is count * expit_stable(a + s) instead, with s
+      re-formed for just those entries, so saturated predictors keep their
+      limits and opposite infinities stay NaN. Such entries are looked for
+      only where max(exp(-a)) * max(exp(-s)) is not finite.
     - The stack is walked in blocks of BLOCK_ELEMENTS // len(distinct)
       vectors, so a block's (draws, distinct rows) temporaries stay in
       cache. All of the above is elementwise or per-row, so no bit depends
@@ -125,47 +131,54 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
         raise DimensionMismatch(
             f"coefficient vector has length {pis.shape[-1]}, model has {spec.k} terms"
         )
-    distinct = std.distinct[0]
-    leads, keys, parts = [], [], {}  # per cell: lead terms, part key
-    for z1, z2 in cells:
-        cols = design_columns(spec, z1, z2, distinct)
-        live = [j for j in range(spec.k) if cols[j].any()]
-        leads.append([j for j in live if not spec.terms[j].covariate])
-        keys.append(tuple(j for j in live if spec.terms[j].covariate))
-        parts.setdefault(keys[-1], [(j, cols[j]) for j in keys[-1]])
-    stack = pis.reshape(-1, spec.k)
-    out = np.empty((len(cells), len(stack)))
-    step = max(1, BLOCK_ELEMENTS // len(distinct))
+    distinct, stack = std.distinct[0], pis.reshape(-1, spec.k)
+    n, out = len(distinct), np.empty((len(cells), len(stack)))
+    step = max(1, BLOCK_ELEMENTS // n)
     with np.errstate(over="ignore", invalid="ignore"):
+        # numpy copies broadcast operands through its ufunc buffer unless a
+        # row fills it; from 128 rows on, n floored to 16s is a faster size
+        bufsize = np.setbufsize(n // 16 * 16 if 128 <= n < np.getbufsize()
+                                else np.getbufsize())
+        leads, keys, parts = [], [], {}  # per cell: (a, exp(-a)), part key
+        for z1, z2 in cells:
+            cols = design_columns(spec, z1, z2, distinct)
+            live = [j for j in range(spec.k) if cols[j].any()]
+            a = sum((stack[:, j] for j in live if not spec.terms[j].covariate),
+                    np.zeros(len(stack)))
+            leads.append((a, np.exp(-a)))
+            keys.append(tuple(j for j in live if spec.terms[j].covariate))
+            parts.setdefault(keys[-1], [(j, cols[j]) for j in keys[-1]])
         for start in range(0, len(stack), step):
             p = stack[start:start + step]
-            exps = {}  # per part: s, then exp(-s)
+            block, neg = slice(start, start + len(p)), -p
+            exps = {}  # per part: -s, then exp(-s)
             for key, terms in parts.items():
                 base = max((k for k in exps if key[:len(k)] == k), key=len,
                            default=())
-                s = (exps[base].copy() if base in exps
-                     else np.zeros((len(p), len(distinct))))
-                for j, col in terms[len(base):]:
-                    s += p[:, j, None] * col
-                exps[key] = s
-            for s in exps.values():
-                np.exp(np.negative(s, out=s), out=s)
-            for c, (lead_terms, key) in enumerate(zip(leads, keys)):
-                a = np.zeros(len(p))
-                for j in lead_terms:
-                    a += p[:, j]
-                r = np.exp(-a)[:, None] * exps[key]
-                bad = ()
-                if not np.isfinite(r.max()):  # inf or NaN if any entry is
-                    bad = np.nonzero(~np.isfinite(r))
+                todo = terms[len(base):]
+                ns = (neg[:, todo[0][0], None] * todo[0][1] if todo
+                      else np.zeros(n))  # no terms: -s = 0
+                if base:
+                    ns += exps[base]
+                for j, col in todo[1:]:
+                    ns += neg[:, j, None] * col
+                exps[key] = ns
+            # exp(-s) is >= 0 or NaN, so no product exp(-a) exp(-s) of a
+            # cell is inf or NaN unless max(exp(-a)) * tops[key] is
+            tops = {key: np.exp(ns, out=ns).max() for key, ns in exps.items()}
+            for c, ((a, ea), key) in enumerate(zip(leads, keys)):
+                a, ea = a[block], ea[block]
+                r = ea[:, None] * exps[key]
+                bad = (() if np.isfinite(ea.max() * tops[key])
+                       else np.nonzero(~np.isfinite(r)))
                 r += 1.0
-                np.divide(1.0, r, out=r)
-                if bad:
-                    s = np.zeros(len(bad[0]))
-                    for j, col in parts[key]:
-                        s += p[bad[0], j] * col[bad[1]]
-                    r[bad] = expit_stable(a[bad[0]] + s)
-                out[c, start:start + len(p)] = std.mean(r)
+                np.divide(std.counts, r, out=r)
+                if bad and bad[0].size:
+                    s = sum((p[bad[0], j] * col[bad[1]]
+                             for j, col in parts[key]), np.zeros(len(bad[0])))
+                    r[bad] = std.counts[bad[1]] * expit_stable(a[bad[0]] + s)
+                out[c, block] = std.mean_weighted(r)
+        np.setbufsize(bufsize)
     return out.reshape((len(cells),) + pis.shape[:-1])
 
 

@@ -211,6 +211,9 @@ def _r_factor(X):
 
 def _check_rank(X):
     diag = np.abs(np.diag(_r_factor(X)))
+    if not np.all(np.isfinite(diag)):
+        raise NonFiniteFit("the design's QR factor is not finite: the "
+                           "covariates' scale overflows floating point")
     if diag.size and np.min(diag) <= RANK_PIVOT_RTOL * np.max(diag):
         raise RankDeficientDesign(
             f"design matrix is rank deficient (pivot ratio "

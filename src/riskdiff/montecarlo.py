@@ -303,9 +303,9 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
     substream. A chunk holds at most chunk_size draws and at most
     CHUNK_ELEMENTS draws x subject rows, which sizes the pool's tasks;
     within a chunk the effect kernel works in blocks of at most
-    effects.BLOCK_ELEMENTS draws x distinct rows, and its count-weighted
-    mean over distinct rows sums each draw alone. At most one process per
-    CPU and per chunk is started.
+    effects.BLOCK_ELEMENTS draws x distinct rows, divides each distinct
+    row's count by 1 + exp(-eta) and sums those along the rows for each
+    draw alone. At most one process per CPU and per chunk is started.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")

@@ -273,9 +273,9 @@ def _reference_triples(pis, spec, rows, mean_risk=_reference_mean_risk):
 # written out plainly for the whole stack at once (its triples come from
 # _reference_triples with _formula_mean_risk). eta = a + s splits into
 # the terms without a covariate (a) and those with one (s), each summed in
-# model order; the risk is 1 / (1 + exp(-a) exp(-s)), or expit_stable(a + s)
-# where that product is not finite; the mean weights each distinct row by
-# its number of subjects and divides by n.
+# model order; each distinct row's risk times its number of subjects is
+# count / (1 + exp(-a) exp(-s)), or count * expit_stable(a + s) where that
+# product is not finite; the mean sums those along the rows and divides by n.
 
 def _distinct_counts(rows):
     """Distinct rows, ordered by their bytes, and how often each occurs."""
@@ -302,11 +302,11 @@ def _formula_mean_risk(pis, spec, z1, z2, rows):
     distinct, counts = _distinct_counts(rows)
     a, s, prod = _formula_parts(pis.reshape(-1, spec.k), spec, z1, z2,
                                 distinct)
-    risks = 1.0 / (1.0 + prod)
+    weighted = counts / (1.0 + prod)
     bad = ~np.isfinite(prod)
-    risks[bad] = expit_stable((a[:, None] + s)[bad])
-    return (np.sum(risks * counts, axis=-1) / len(rows)).reshape(
-        pis.shape[:-1])
+    weighted[bad] = (np.broadcast_to(counts, prod.shape)[bad]
+                     * expit_stable((a[:, None] + s)[bad]))
+    return (np.sum(weighted, axis=-1) / len(rows)).reshape(pis.shape[:-1])
 
 
 def _eta_rounding(pis, spec, rows):
@@ -406,6 +406,56 @@ class TestKernelBits:
                               np.sort(np.concatenate(fallback)),
                               equal_nan=True)
         _assert_kernel(pis, spec, rows)
+
+    def test_loose_bound_without_a_bad_product(self, monkeypatch):
+        # one vector has exp(-a) = e^600, the other exp(-s) = e^600 on one
+        # row: their maxima multiply past the largest float, but every
+        # single product is at most e^600, so no entry takes the fallback
+        spec = ModelSpec.parse("z1,z2,x1")
+        rows = np.array([[0.0], [1.0], [1.0]])
+        pis = np.array([[-600.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -600.0]])
+        distinct = _distinct_counts(rows)[0]
+        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            a, s, prod = _formula_parts(pis, spec, z1, z2, distinct)
+            with np.errstate(over="ignore"):
+                assert np.isinf(np.exp(-a).max() * np.exp(-s).max())
+            assert np.all(np.isfinite(prod))
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(effects, "expit_stable",
+                       lambda eta: calls.append(eta) or expit_stable(eta))
+            effect_triples_batch(pis, spec, StandardizationSet(rows))
+        assert calls == []
+        _assert_kernel(pis, spec, rows)
+
+    def test_counts_divide_in_one_rounding(self):
+        # counts 3, 5 and 6 are not powers of two: here c / x and
+        # (1 / x) * c differ in some entries and in two cells' means
+        spec = ModelSpec.parse("z1,z2,x1,z1*x1")
+        rows = np.array([[0.5]] * 3 + [[-1.25]] * 5 + [[2.0]] * 6)
+        pis = np.linspace(-1.0, 1.0, 3 * spec.k).reshape(3, spec.k)
+        distinct, counts = _distinct_counts(rows)
+        assert sorted(counts) == [3.0, 5.0, 6.0]
+        moved = 0
+        for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            x = 1.0 + _formula_parts(pis, spec, z1, z2, distinct)[2]
+            moved += np.sum(np.sum(counts / x, axis=-1)
+                            != np.sum((1.0 / x) * counts, axis=-1))
+        assert moved == 2
+        _assert_kernel(pis, spec, rows)
+
+    def test_many_distinct_rows_restore_the_buffer_size(self):
+        # from 128 distinct rows on the kernel runs numpy's ufuncs with a
+        # buffer of about one row: the bits stay the formula's, and the
+        # caller's buffer size is back when the kernel returns
+        rng = np.random.default_rng(6)
+        spec = ModelSpec.parse("z2*x2,z1,x1,z1*z2,z2,z1*x1")
+        rows = np.round(rng.normal(size=(600, 2)), 1)
+        assert len(_distinct_counts(rows)[0]) > 300
+        pis = rng.normal(size=(40, spec.k))
+        before = np.getbufsize()
+        _assert_kernel(pis, spec, rows)
+        assert np.getbufsize() == before
 
     def test_expit_special_values(self):
         eta = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 709.0,

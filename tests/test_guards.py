@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from riskdiff import glm
+from riskdiff.dataset import Cohort
 from riskdiff.effects import StandardizationSet
 from riskdiff.errors import NonFiniteFit, NotConverged
 from riskdiff.fixtures import cardia_cohort, cardia_fit
-from riskdiff.glm import CARDIA_MODEL, FitResult, Term, fit_logistic, lr_test
+from riskdiff.glm import (CARDIA_MODEL, FitResult, Term, build_design,
+                          fit_logistic, lr_test)
 from riskdiff.inference import confidence_ellipse
 from riskdiff.montecarlo import cholesky, effect_distribution, sample_parameters
 
@@ -68,6 +70,23 @@ class TestFitLogistic:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteFit):
             fit_logistic(X, y)
         assert solves == []
+
+    def test_non_finite_qr_factor_stops_the_fit(self, monkeypatch):
+        """A covariate near the largest float gives a NaN R diagonal; the
+        rank check refuses it before the first log-likelihood."""
+        cohort = cardia_cohort()
+        x = cohort.x.copy()
+        x[0, 0] = 1.7e308
+        X = build_design(Cohort.from_columns(cohort.y, cohort.z1, cohort.z2,
+                                             x, cohort.covariate_names),
+                         CARDIA_MODEL)
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(np.diag(glm._r_factor(X))))
+        calls = []
+        monkeypatch.setattr(glm, "_loglik", lambda *a: calls.append(a) or 0.0)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteFit):
+            fit_logistic(X, cohort.y)
+        assert calls == []
 
     def test_lr_test_needs_a_positive_df(self):
         fit = fit_logistic(*two_group_design())

@@ -23,13 +23,21 @@ is empty, e.g. a parent commit's and a change's:
     diff -r /tmp/a /tmp/b
 
 With --parent, one run does both: it writes PARENT_SRC's outputs to
-DIR/parent and SRC's to DIR/change, prints the relative path of every file
-that differs or is on one side only, and exits 1 if there is any.
+DIR/parent and SRC's to DIR/change, prints one line for every file that
+differs or is on one side only, and exits 1 if there is any. For a CSV or
+JSON file of the same layout on both sides, the line gives the largest
+absolute difference over its numbers (every number in the CSV lines below
+the `#` line, or in the JSON values, strings such as "(-inf, 0.25]"
+included) and says whether any integer, such as a histogram count or a
+draw index, changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -82,6 +90,56 @@ def differing(a: Path, b: Path) -> list[str]:
                           and (a / f).read_bytes() == (b / f).read_bytes()))
 
 
+#: A number literal that is not part of a word, such as 12, -0.5, 1e-05 or
+#: -inf in "(-inf, 0.25]", but not the 1 of "z1".
+_NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+                     r"|inf|nan))(?![\w.])")
+
+
+def _tokens(text: str) -> list:
+    """text split into its number literals, as int or float, and the text
+    between them."""
+    return [(int(t) if t.lstrip("+-").isdigit() else float(t)) if i % 2
+            else t for i, t in enumerate(_NUMBER.split(text))]
+
+
+def _scalars(v) -> list:
+    """Every scalar of a parsed JSON value in document order, with each
+    string split by _tokens."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, list):
+        return [s for x in v for s in _scalars(x)]
+    return _tokens(v) if isinstance(v, str) else [v]
+
+
+def change(a: Path, b: Path) -> str:
+    """How the file b differs from a, in one phrase. The numbers in the CSV
+    lines below the `#` line, or in the JSON values, are compared in file
+    order, and the text around them must match."""
+    if not (a.is_file() and b.is_file()):
+        return "on one side only"
+    if a.suffix not in (".csv", ".json"):
+        return "differs (not a CSV or JSON file)"
+    values = [_scalars(json.loads(p.read_text())) if p.suffix == ".json"
+              else [t for line in p.read_text().splitlines()
+                    if not line.startswith("#") for t in _tokens(line)]
+              for p in (a, b)]
+    if len(values[0]) != len(values[1]):
+        return "differs in layout"
+    delta, ints = 0.0, False
+    for x, y in zip(*values):
+        if x == y or x != x and y != y:  # equal, or both NaN
+            continue
+        if not {type(x), type(y)} <= {int, float}:
+            return "differs in layout or text"
+        d = abs(x - y)
+        delta = max(delta, d if d == d else math.inf)
+        ints = ints or int in (type(x), type(y))
+    return (f"largest absolute change {delta:.2g}, "
+            + ("an integer changed" if ints else "no integer changed"))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, required=True)
@@ -97,7 +155,7 @@ def main() -> int:
         write_outputs(src, args.seed, args.out / side)
     diff = differing(*(args.out / side for side in sides))
     for path in diff:
-        print(path)
+        print(f"{path}: {change(*(args.out / side / path for side in sides))}")
     print(f"seed {args.seed}: {len(diff)} files differ")
     return 1 if diff else 0
 
