@@ -16,12 +16,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "dataset": ("Cohort", "ColumnSchema", "SubjectRecord", "describe",
-                "load_cohort"),
+    "dataset": ("Cohort", "ColumnSchema", "describe", "load_cohort"),
     "effects": ("EffectTriple", "StandardizationSet", "effect_triple",
                 "marginal_risk", "risk"),
-    "glm": ("FitResult", "ModelSpec", "Term", "build_design", "fit_logistic",
-            "lr_test"),
+    "glm": ("FitResult", "ModelSpec", "Term", "build_design", "fit_logistic"),
     "inference": ("ConfidenceEllipse", "IntervalEstimate", "TercileReport",
                   "confidence_ellipse", "delta_method_check",
                   "marginal_report", "percentile_ci", "quantile",

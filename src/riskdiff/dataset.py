@@ -24,27 +24,8 @@ from .errors import (DataError, EmptyFile, MissingColumn, MissingValue,
 CSV_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    y: int
-    z1: int
-    z2: int
-    x: tuple[float, ...]
-
-    def __post_init__(self):
-        for name in ("y", "z1", "z2"):
-            v = getattr(self, name)
-            if v not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {v!r}")
-
-
 class Cohort:
     """Subjects as read-only columns: 0/1 ints y, z1, z2, n-by-m floats x."""
-
-    def __init__(self, records, covariate_names):
-        columns = ([getattr(r, f) for r in records]
-                   for f in ("y", "z1", "z2", "x"))
-        vars(self).update(vars(Cohort.from_columns(*columns, covariate_names)))
 
     @classmethod
     def from_columns(cls, y, z1, z2, x, covariate_names) -> "Cohort":
@@ -68,12 +49,6 @@ class Cohort:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a Cohort is read-only")
-
-    @property
-    def records(self) -> tuple[SubjectRecord, ...]:
-        """One SubjectRecord per subject, in row order."""
-        return tuple(map(SubjectRecord, self.y.tolist(), self.z1.tolist(),
-                         self.z2.tolist(), map(tuple, self.x.tolist())))
 
     def __eq__(self, other):
         return isinstance(other, Cohort) and all(

@@ -83,10 +83,6 @@ class NonFiniteFit(FitError):
     pass
 
 
-class NegativeStatisticBeyondTolerance(FitError):
-    pass
-
-
 class DimensionMismatch(FitError):
     pass
 

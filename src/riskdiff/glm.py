@@ -18,7 +18,6 @@ import numpy as np
 from .dataset import Cohort
 from .errors import (
     BadCovariateIndex,
-    NegativeStatisticBeyondTolerance,
     NonFiniteFit,
     NotConverged,
     RankDeficientDesign,
@@ -238,8 +237,9 @@ def fit_logistic(X, y, term_names=None) -> FitResult:
     relative, within MAX_ITER steps) comes after the information at the
     current beta is formed; sigma_hat is the inverse of that information.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # BLAS sums in an order that depends on the memory layout: copy to C order
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     n, k = X.shape
     if n < k:
         raise RankDeficientDesign(f"n={n} rows cannot identify k={k} terms")
@@ -311,41 +311,3 @@ def expit_stable(eta):
     mu /= t
     return mu
 
-
-def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution with integer df >= 1.
-
-    The closed form of Q(df/2, x/2) for integer df, with h = x/2: even df
-    gives exp(-h) * sum_{i < df/2} h^i / i!, and odd df gives
-    erfc(sqrt(h)) plus exp(-h) * sum_{i < (df-1)/2} h^(i+1/2) / Gamma(i+3/2).
-    Each term is the previous one times h / (i + 1) or h / (i + 3/2). Past
-    x of about 1490, exp(-h) underflows and the sum reads 0; for df <= 20
-    the true tail there is below 1e-300.
-    """
-    if df < 1 or df != int(df):
-        raise ValueError("df must be a positive integer")
-    if x <= 0:
-        return 1.0
-    h = x / 2.0
-    if df % 2 == 0:
-        total, term, offset = 0.0, math.exp(-h), 1.0
-    else:
-        total = math.erfc(math.sqrt(h))
-        term, offset = math.exp(-h) * 2.0 * math.sqrt(h / math.pi), 1.5
-    for i in range(int(df) // 2):
-        total += term
-        term *= h / (i + offset)
-    return total
-
-
-def lr_test(full: FitResult, reduced: FitResult, df: int) -> float:
-    """Likelihood-ratio p-value for a nested model pair."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    stat = 2.0 * (full.loglik - reduced.loglik)
-    if stat < -1e-8:
-        raise NegativeStatisticBeyondTolerance(
-            f"LR statistic {stat:.3e} < 0: models not nested or misconverged"
-        )
-    stat = max(stat, 0.0)
-    return chi2_sf(stat, df)

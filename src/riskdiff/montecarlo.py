@@ -211,11 +211,6 @@ def _normals(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     return _ndtri(u.ravel()).reshape(u.shape)
 
 
-def _standard_normals(seed: int, index: int, k: int) -> np.ndarray:
-    """k standard normals for draw `index`, independent of any other draw."""
-    return _normals(seed, index, index + 1, k)[0]
-
-
 def _draws(pi_hat, L, seed: int, start: int, stop: int) -> np.ndarray:
     """Coefficient draws start..stop-1: pi_hat + L z, z from each draw's stream.
 
@@ -261,14 +256,6 @@ class EffectDistribution:
     def component(self, which: str) -> np.ndarray:
         return {"te1": self.te1, "te2": self.te2, "int": self.int_}[which.lower()]
 
-    def metadata(self) -> dict:
-        return {
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            "source_hash": self.source_hash,
-            "jitter": self.jitter,
-        }
-
     def to_csv(self) -> str:
         """One line per draw; every value is the repr of its Python float."""
         return columns_csv("draw_index,te1,te2,int", [
@@ -310,6 +297,7 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     L, jitter = _factor_with_jitter(fit.sigma_hat, allow_jitter)
+    std.counts  # fill the row cache first: each pickled chunk carries it
     per_chunk = max(1, min(chunk_size, CHUNK_ELEMENTS // std.n))
     chunks = [(fit.pi_hat, L, spec, std, seed, start,
                min(start + per_chunk, n_draws))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from riskdiff.dataset import Cohort, SubjectRecord
+from riskdiff.dataset import Cohort
 from riskdiff.effects import (
     StandardizationSet,
     effect_triple,
@@ -195,24 +195,21 @@ def test_criterion_05_fit_correctness():
 
 def test_criterion_06_randomized_trial_collapse():
     rng = np.random.default_rng(77)
-    records = []
+    rows = []
     for z1 in (0, 1):
         for z2 in (0, 1):
             for _ in range(80):
                 p = 0.2 + 0.25 * z1 + 0.2 * z2 - 0.1 * z1 * z2
-                records.append(SubjectRecord(
-                    int(rng.random() < p), z1, z2,
-                    tuple(rng.normal(size=2))))
-    cohort = Cohort(tuple(records), ("x1", "x2"))
+                rows.append((int(rng.random() < p), z1, z2,
+                             rng.normal(size=2)))
+    cohort = Cohort.from_columns(*zip(*rows), ("x1", "x2"))
     X = build_design(cohort, SAT_MODEL)
-    yv = np.array([r.y for r in cohort.records], dtype=float)
-    fit = fit_logistic(X, yv, term_names=SAT_MODEL.names)
+    fit = fit_logistic(X, cohort.y, term_names=SAT_MODEL.names)
     std = StandardizationSet.from_cohort(cohort)
     t = effect_triple(fit.pi_hat, SAT_MODEL, std)
 
     def crude(z1, z2):
-        sel = [r.y for r in cohort.records if (r.z1, r.z2) == (z1, z2)]
-        return sum(sel) / len(sel)
+        return cohort.y[(cohort.z1 == z1) & (cohort.z2 == z2)].mean()
 
     c_te1 = crude(1, 0) - crude(0, 0)
     c_te2 = crude(0, 1) - crude(0, 0)
@@ -244,7 +241,7 @@ def test_criterion_08_delta_method_cross_check():
     spec = ModelSpec.parse("z1,z2,z1*z2,x1")
     worst = 0.0
     for trial in range(20):
-        records = []
+        rows = []
         beta = np.array([rng.normal(scale=0.4), rng.normal(scale=0.5),
                          rng.normal(scale=0.5), rng.normal(scale=0.3),
                          rng.normal(scale=0.4)])
@@ -252,12 +249,11 @@ def test_criterion_08_delta_method_cross_check():
             z1, z2 = int(rng.random() < 0.5), int(rng.random() < 0.5)
             x = float(rng.normal())
             eta = beta @ np.array([1.0, z1, z2, z1 * z2, x])
-            records.append(SubjectRecord(
-                int(rng.random() < expit_stable(eta)), z1, z2, (x,)))
-        cohort = Cohort(tuple(records), ("x1",))
+            rows.append((int(rng.random() < expit_stable(eta)), z1, z2,
+                         (x,)))
+        cohort = Cohort.from_columns(*zip(*rows), ("x1",))
         X = build_design(cohort, spec)
-        yv = np.array([r.y for r in cohort.records], dtype=float)
-        fit = fit_logistic(X, yv, term_names=spec.names)
+        fit = fit_logistic(X, cohort.y, term_names=spec.names)
         std = StandardizationSet.from_cohort(cohort)
         delta = delta_method_check(fit, spec, std)
         dist = effect_distribution(fit, spec, std, n_draws=10 ** 5,
@@ -309,9 +305,7 @@ def test_criterion_10_coverage_property():
         x = rng.normal(size=n)
         eta = truth @ np.array([np.ones(n), z1, z2, z1 * z2, x])
         yv = (rng.random(n) < expit_stable(eta)).astype(int)
-        return Cohort(tuple(
-            SubjectRecord(int(yv[i]), int(z1[i]), int(z2[i]), (float(x[i]),))
-            for i in range(n)), ("x1",))
+        return Cohort.from_columns(yv, z1, z2, x[:, None], ("x1",))
 
     # population truth for INT: standardize over a large reference sample
     ref = StandardizationSet(rows=rng.normal(size=(10 ** 5, 1)))
@@ -323,8 +317,7 @@ def test_criterion_10_coverage_property():
     for rep in range(replicates):
         cohort = draw_cohort()
         X = build_design(cohort, spec)
-        yv = np.array([r.y for r in cohort.records], dtype=float)
-        fit = fit_logistic(X, yv, term_names=spec.names)
+        fit = fit_logistic(X, cohort.y, term_names=spec.names)
         std = StandardizationSet.from_cohort(cohort)
         dist = effect_distribution(fit, spec, std, n_draws=1000, seed=rep)
         lo, hi = percentile_ci(dist.int_, 0.05)

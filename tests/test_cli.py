@@ -469,8 +469,8 @@ class TestTiedTerciles:
 
 
 class TestLazyScipy:
-    """The package imports no scipy: normal quantiles, the Cholesky factor
-    and chi-square tails are numpy and libm, so no command pays for it."""
+    """The package imports no scipy: normal quantiles and the Cholesky
+    factor are numpy and libm, so no command pays for it."""
 
     def test_import_and_fixture_leave_scipy_unloaded(self, tmp_path):
         code = ("import sys, riskdiff.cli as cli; "

@@ -15,7 +15,6 @@ from riskdiff.dataset import (
     Cohort,
     _fast_columns,
     ColumnSchema,
-    SubjectRecord,
     describe,
     load_cohort,
     lower_median,
@@ -45,7 +44,8 @@ class TestLoadCohort:
         p = write_csv(tmp_path, "y,z1,z2,age,male,urban\n1,0,0,50,1,0\n")
         cohort = load_cohort(p, SCHEMA)
         assert cohort.n == 1
-        assert cohort.records[0] == SubjectRecord(1, 0, 0, (50.0, 1.0, 0.0))
+        assert [cohort.y[0], cohort.z1[0], cohort.z2[0]] == [1, 0, 0]
+        assert cohort.x[0].tolist() == [50.0, 1.0, 0.0]
         assert cohort.covariate_names == ("age", "male", "urban")
 
     def test_fixture_loads_with_150_rows(self, tmp_path):
@@ -96,7 +96,8 @@ class TestLoadCohort:
         schema = ColumnSchema("surv", "hosp", "stage", ("a1",))
         p = write_csv(tmp_path, "a1,surv,stage,hosp\n3.5,1,0,1\n")
         cohort = load_cohort(p, schema)
-        assert cohort.records[0] == SubjectRecord(1, 1, 0, (3.5,))
+        assert [cohort.y[0], cohort.z1[0], cohort.z2[0]] == [1, 1, 0]
+        assert cohort.x.tolist() == [[3.5]]
 
 
 def _parse_binary(raw, row, column):
@@ -138,7 +139,7 @@ def per_row_load_cohort(path, schema: ColumnSchema) -> Cohort:
                     raise MissingColumn(col)
             idx = {col: header.index(col) for col in wanted}
 
-            records = []
+            ys, z1s, z2s, xs = [], [], [], []
             for rownum, row in enumerate(reader, start=1):
                 def cell(col):
                     j = idx[col]
@@ -148,13 +149,16 @@ def per_row_load_cohort(path, schema: ColumnSchema) -> Cohort:
                 z1 = _parse_binary(cell(schema.exposure1), rownum, schema.exposure1)
                 z2 = _parse_binary(cell(schema.exposure2), rownum, schema.exposure2)
                 x = tuple(_parse_real(cell(c), rownum, c) for c in schema.covariates)
-                records.append(SubjectRecord(y=y, z1=z1, z2=z2, x=x))
+                ys.append(y)
+                z1s.append(z1)
+                z2s.append(z2)
+                xs.append(x)
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"cannot read {path}: {e}") from None
 
-    if not records:
+    if not ys:
         raise EmptyFile(f"{path} contains a header but no data rows")
-    return Cohort(records=tuple(records), covariate_names=tuple(schema.covariates))
+    return Cohort.from_columns(ys, z1s, z2s, xs, schema.covariates)
 
 
 BINARY = ("y", "z1", "z2")
@@ -411,10 +415,14 @@ class TestColumns:
             assert col.dtype.kind == "i" and col.tolist() == want
 
     def test_records_rebuild_the_cohort(self, tmp_path):
+        # Python lists, with one covariate row per subject, as the per-row
+        # reference loader passes them
         p = tmp_path / "cardia.csv"
         save_cohort(cardia_cohort(), p, CARDIA_SCHEMA)
         cohort = load_cohort(p, CARDIA_SCHEMA)
-        assert Cohort(cohort.records, cohort.covariate_names) == cohort
+        columns = (cohort.y, cohort.z1, cohort.z2, cohort.x)
+        assert Cohort.from_columns(*(c.tolist() for c in columns),
+                                   cohort.covariate_names) == cohort
 
 
 class TestRoundTrip:
@@ -425,10 +433,9 @@ class TestRoundTrip:
     @settings(max_examples=50)
     def test_save_load_identity(self, rows):
         import tempfile
-        cohort = Cohort(
-            records=tuple(SubjectRecord(y, z1, z2, (x,))
-                          for y, z1, z2, x in rows),
-            covariate_names=("x1",))
+        y, z1, z2, x = zip(*rows)
+        cohort = Cohort.from_columns(y, z1, z2, np.array(x)[:, None],
+                                     ("x1",))
         schema = ColumnSchema("y", "z1", "z2", ("x1",))
         with tempfile.TemporaryDirectory() as d:
             p = f"{d}/c.csv"
@@ -459,7 +466,7 @@ class TestLowerMedian:
 
 class TestDescribe:
     def test_single_record(self):
-        cohort = Cohort((SubjectRecord(1, 0, 0, (1.0,)),), ("x1",))
+        cohort = Cohort.from_columns([1], [0], [0], [[1.0]], ("x1",))
         table = describe(cohort)
         assert table.overall.events[(0, 0)] == 1
         assert table.overall.totals[(0, 0)] == 1
@@ -496,17 +503,16 @@ class TestDescribe:
         cohort = cardia_cohort()
         table = describe(cohort)
         assert sum(table.overall.totals.values()) == cohort.n
-        assert sum(table.overall.events.values()) == \
-            sum(r.y for r in cohort.records)
+        assert sum(table.overall.events.values()) == cohort.y.sum()
 
     @given(st.permutations(range(20)))
     @settings(max_examples=25)
     def test_permutation_invariance(self, order):
-        records = tuple(
-            SubjectRecord(i % 2, (i // 2) % 2, (i // 4) % 2, (float(i),))
-            for i in range(20))
-        base = describe(Cohort(records, ("x1",)))
-        shuffled = describe(Cohort(tuple(records[i] for i in order), ("x1",)))
+        i = np.arange(20)
+        columns = (i % 2, (i // 2) % 2, (i // 4) % 2, i[:, None])
+        base = describe(Cohort.from_columns(*columns, ("x1",)))
+        shuffled = describe(Cohort.from_columns(
+            *(c[list(order)] for c in columns), ("x1",)))
         assert base.overall == shuffled.overall
         assert base.split_values == shuffled.split_values
 
@@ -522,13 +528,13 @@ class TestDescribe:
 class TestInvariants:
     def test_record_rejects_nonbinary(self):
         with pytest.raises(ValueError):
-            SubjectRecord(2, 0, 0, (1.0,))
+            Cohort.from_columns([2], [0], [0], [[1.0]], ("x1",))
 
     def test_cohort_rejects_ragged_covariates(self):
         with pytest.raises(ValueError):
-            Cohort((SubjectRecord(0, 0, 0, (1.0,)),
-                    SubjectRecord(0, 0, 0, (1.0, 2.0))), ("x1",))
+            Cohort.from_columns([0, 0], [0, 0], [0, 0], [[1.0], [1.0, 2.0]],
+                                ("x1",))
 
     def test_cohort_rejects_empty(self):
         with pytest.raises(ValueError):
-            Cohort((), ("x1",))
+            Cohort.from_columns([], [], [], [], ("x1",))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from riskdiff import effects
-from riskdiff.dataset import Cohort, SubjectRecord
+from riskdiff.dataset import Cohort
 from riskdiff.effects import (
     EffectTriple,
     StandardizationSet,
@@ -89,8 +89,8 @@ class TestMarginalRisk:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 2))
         pi = rng.normal(size=spec.k)
-        exposed = Cohort(tuple(SubjectRecord(0, 1, 1, tuple(r)) for r in x),
-                         ("x1", "x2"))
+        exposed = Cohort.from_columns([0] * 25, [1] * 25, [1] * 25, x,
+                                      ("x1", "x2"))
         want = expit_stable(build_design(exposed, spec) @ pi).mean()
         got = marginal_risk(pi, spec, 1, 1, StandardizationSet(x))
         assert got == pytest.approx(want, rel=0, abs=1e-15)
@@ -178,27 +178,23 @@ class TestRandomizedTrialCollapse:
         # covariates independent of exposures + saturated exposure model:
         # standardization must collapse to the crude risk differences
         rng = np.random.default_rng(21)
-        records = []
+        rows = []
         for z1 in (0, 1):
             for z2 in (0, 1):
                 for _ in range(60):
-                    x = tuple(rng.normal(size=2))
+                    x = rng.normal(size=2)
                     p = 0.15 + 0.2 * z1 + 0.3 * z2 + 0.1 * z1 * z2
-                    records.append(
-                        SubjectRecord(int(rng.random() < p), z1, z2, x))
-        cohort = Cohort(tuple(records), ("x1", "x2"))
+                    rows.append((int(rng.random() < p), z1, z2, x))
+        cohort = Cohort.from_columns(*zip(*rows), ("x1", "x2"))
 
         from riskdiff.glm import build_design
         X = build_design(cohort, SAT_MODEL)
-        y = np.array([r.y for r in cohort.records], dtype=float)
-        fit = fit_logistic(X, y, term_names=SAT_MODEL.names)
+        fit = fit_logistic(X, cohort.y, term_names=SAT_MODEL.names)
         std = StandardizationSet.from_cohort(cohort)
         t = effect_triple(fit.pi_hat, SAT_MODEL, std)
 
         def crude(z1, z2):
-            sel = [r.y for r in cohort.records
-                   if r.z1 == z1 and r.z2 == z2]
-            return sum(sel) / len(sel)
+            return cohort.y[(cohort.z1 == z1) & (cohort.z2 == z2)].mean()
 
         assert t.te1 == pytest.approx(crude(1, 0) - crude(0, 0), abs=1e-8)
         assert t.te2 == pytest.approx(crude(0, 1) - crude(0, 0), abs=1e-8)

@@ -9,7 +9,7 @@ from riskdiff.effects import StandardizationSet
 from riskdiff.errors import NonFiniteFit, NotConverged
 from riskdiff.fixtures import cardia_cohort, cardia_fit
 from riskdiff.glm import (CARDIA_MODEL, FitResult, Term, build_design,
-                          fit_logistic, lr_test)
+                          fit_logistic)
 from riskdiff.inference import confidence_ellipse
 from riskdiff.montecarlo import cholesky, effect_distribution, sample_parameters
 
@@ -87,11 +87,6 @@ class TestFitLogistic:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteFit):
             fit_logistic(X, cohort.y)
         assert calls == []
-
-    def test_lr_test_needs_a_positive_df(self):
-        fit = fit_logistic(*two_group_design())
-        with pytest.raises(ValueError, match="df must be >= 1"):
-            lr_test(fit, fit, df=0)
 
 
 def test_empty_standardization_set():

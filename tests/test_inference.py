@@ -253,20 +253,19 @@ class TestTercileReport:
 class TestDeltaMethodCheck:
     def _synthetic_fit(self, seed):
         from riskdiff.glm import build_design, expit_stable, fit_logistic
-        from riskdiff.dataset import Cohort, SubjectRecord
+        from riskdiff.dataset import Cohort
         rng = np.random.default_rng(seed)
         spec = ModelSpec.parse("z1,z2,z1*z2,x1")
-        records = []
+        rows = []
         for _ in range(400):
             z1, z2 = int(rng.random() < 0.5), int(rng.random() < 0.5)
             x = float(rng.normal())
             eta = -0.2 + 0.6 * z1 - 0.8 * z2 + 0.3 * z1 * z2 + 0.4 * x
-            records.append(SubjectRecord(
-                int(rng.random() < expit_stable(eta)), z1, z2, (x,)))
-        cohort = Cohort(tuple(records), ("x1",))
+            rows.append((int(rng.random() < expit_stable(eta)), z1, z2,
+                         (x,)))
+        cohort = Cohort.from_columns(*zip(*rows), ("x1",))
         X = build_design(cohort, spec)
-        y = np.array([r.y for r in cohort.records], dtype=float)
-        fit = fit_logistic(X, y, term_names=spec.names)
+        fit = fit_logistic(X, cohort.y, term_names=spec.names)
         return fit, spec, StandardizationSet.from_cohort(cohort)
 
     def test_zero_covariance_gives_zero_variance(self):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,10 +23,8 @@ from riskdiff.montecarlo import (
     _draws,
     _ndtri,
     _normals,
-    _standard_normals,
     cholesky,
     effect_distribution,
-    fit_identity_hash,
     sample_parameters,
 )
 
@@ -172,16 +171,16 @@ class TestFixedOrderCholesky:
 
 class TestStandardNormals:
     def test_deterministic_per_index(self):
-        a = _standard_normals(123, 7, 5)
-        b = _standard_normals(123, 7, 5)
+        a = _normals(123, 7, 8, 5)[0]
+        b = _normals(123, 7, 8, 5)[0]
         assert np.array_equal(a, b)
 
     def test_distinct_indices_differ(self):
-        assert not np.array_equal(_standard_normals(123, 0, 5),
-                                  _standard_normals(123, 1, 5))
+        assert not np.array_equal(_normals(123, 0, 1, 5)[0],
+                                  _normals(123, 1, 2, 5)[0])
 
     def test_marginal_distribution(self):
-        z = np.concatenate([_standard_normals(9, i, 8) for i in range(2000)])
+        z = np.concatenate([_normals(9, i, i + 1, 8)[0] for i in range(2000)])
         assert abs(z.mean()) < 4 / np.sqrt(len(z))
         assert abs(z.std() - 1.0) < 0.02
 
@@ -206,7 +205,7 @@ class TestStandardNormals:
                     ref = reference(seed, start + j)
                     assert np.array_equal(chunk[j], ref)
                     assert np.array_equal(
-                        _standard_normals(seed, start + j, k), ref)
+                        _normals(seed, start + j, start + j + 1, k)[0], ref)
 
     def test_draws_match_one_draw_loop(self):
         fit = cardia_fit()
@@ -404,6 +403,15 @@ class TestEffectDistribution:
             assert np.array_equal(serial.component(which),
                                   parallel.component(which))
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+    def test_pool_chunks_carry_the_row_cache(self):
+        # a fresh set's distinct rows and counts are built before its chunks
+        # are pickled, so no worker builds them again
+        std = many_rows_std(600)
+        effect_distribution(cardia_fit(), CARDIA_MODEL, std, n_draws=40,
+                            seed=8, chunk_size=20, workers=2)
+        assert {"distinct", "counts"} <= set(vars(std))
+
     def test_chunks_cap_rows_times_draws(self, monkeypatch):
         seen = []
         batch = montecarlo.effect_triples_batch
@@ -523,14 +531,6 @@ class TestSerialization:
             for i in range(n)]
         assert dist.to_csv() == "\n".join(want) + "\n"
 
-    def test_metadata(self):
-        dist = self._small_dist()
-        meta = dist.metadata()
-        assert meta["n_draws"] == 5
-        assert meta["seed"] == 2
-        assert meta["jitter"] == 0.0
-        assert meta["source_hash"] == fit_identity_hash(cardia_fit())
-
     def test_length_invariant(self):
         with pytest.raises(ValueError):
             EffectDistribution(te1=np.zeros(3), te2=np.zeros(3),
@@ -541,7 +541,7 @@ class TestSerialization:
 @given(st.integers(0, 2 ** 63 - 1), st.integers(0, 10 ** 6))
 @settings(max_examples=50, deadline=None)
 def test_substream_determinism_property(seed, index):
-    a = _standard_normals(seed, index, 4)
-    b = _standard_normals(seed, index, 4)
+    a = _normals(seed, index, index + 1, 4)[0]
+    b = _normals(seed, index, index + 1, 4)[0]
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))

@@ -18,12 +18,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 MODEL = "z1,z2,z1*z2,x1,x2,x3,z1*x1"
 #: The package's public names, in __all__ order, by defining submodule.
 EXPORTS = {
-    "dataset": ["Cohort", "ColumnSchema", "SubjectRecord", "describe",
-                "load_cohort"],
+    "dataset": ["Cohort", "ColumnSchema", "describe", "load_cohort"],
     "effects": ["EffectTriple", "StandardizationSet", "effect_triple",
                 "marginal_risk", "risk"],
-    "glm": ["FitResult", "ModelSpec", "Term", "build_design", "fit_logistic",
-            "lr_test"],
+    "glm": ["FitResult", "ModelSpec", "Term", "build_design", "fit_logistic"],
     "inference": ["ConfidenceEllipse", "IntervalEstimate", "TercileReport",
                   "confidence_ellipse", "delta_method_check",
                   "marginal_report", "percentile_ci", "quantile",
