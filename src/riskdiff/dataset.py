@@ -27,6 +27,9 @@ CSV_BLOCK = 4096
 class Cohort:
     """Subjects as read-only columns: 0/1 ints y, z1, z2, n-by-m floats x."""
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Cohort with Cohort.from_columns or load_cohort")
+
     @classmethod
     def from_columns(cls, y, z1, z2, x, covariate_names) -> "Cohort":
         """A cohort of read-only copies of y, z1, z2 (each 0 or 1) and x."""

@@ -17,7 +17,6 @@ evaluated and asserted to agree, which guards term-indexing mistakes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,41 +33,28 @@ CELLS = ((0, 0), (1, 0), (0, 1), (1, 1))
 BLOCK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
 class StandardizationSet:
-    """Covariate rows of the full cohort, uniformly weighted."""
+    """The cohort's empirical covariate distribution: its distinct covariate
+    rows, in np.unique order, and how many of its n subject rows each one
+    stands for, as floats.
 
-    rows: np.ndarray  # n-by-m covariate matrix, one row per subject
+    Rows are compared by their exact bytes, so 0.0 and -0.0 stay apart and
+    a duplicate row is one whose every risk is bit-identical to its
+    representative's.
+    """
 
-    def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[0] < 1:
+    def __init__(self, rows):
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("standardization set needs at least one row")
+        distinct, counts = np.unique(rows.view(np.uint64), axis=0,
+                                     return_counts=True)
+        self.distinct, self.counts = distinct.view(float), counts.astype(float)
+        self.n = rows.shape[0]
 
     @classmethod
     def from_cohort(cls, cohort: Cohort) -> "StandardizationSet":
-        return cls(rows=cohort.x)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @cached_property
-    def distinct(self):
-        """(distinct rows, inverse) with rows == distinct[inverse].
-
-        Rows are compared by their exact bytes, so 0.0 and -0.0 stay apart
-        and a duplicate row is one whose every risk is bit-identical to its
-        representative's. Built once per set and pickled with it.
-        """
-        rows = np.ascontiguousarray(self.rows, dtype=float)
-        _, first, inverse = np.unique(rows.view(np.uint64), axis=0,
-                                      return_index=True, return_inverse=True)
-        return rows[first], inverse
-
-    @cached_property
-    def counts(self):
-        """How many subject rows each distinct row stands for, as floats."""
-        return np.bincount(self.distinct[1]).astype(float)
+        return cls(cohort.x)
 
     def mean(self, values):
         """Mean over every subject of values given per distinct row."""
@@ -131,7 +117,7 @@ def _mean_risks(pis, spec: ModelSpec, cells, std: StandardizationSet):
         raise DimensionMismatch(
             f"coefficient vector has length {pis.shape[-1]}, model has {spec.k} terms"
         )
-    distinct, stack = std.distinct[0], pis.reshape(-1, spec.k)
+    distinct, stack = std.distinct, pis.reshape(-1, spec.k)
     n, out = len(distinct), np.empty((len(cells), len(stack)))
     step = max(1, BLOCK_ELEMENTS // n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -190,6 +176,8 @@ def risk(pi, spec: ModelSpec, z1, z2, x) -> float:
 
 def marginal_risk(pi, spec: ModelSpec, z1, z2, std: StandardizationSet) -> float:
     """Risk standardized over the cohort's empirical covariate distribution."""
+    if (z1, z2) not in CELLS:
+        raise ValueError(f"exposures must be 0 or 1, got ({z1}, {z2})")
     return float(_mean_risks(pi, spec, ((z1, z2),), std)[0])
 
 

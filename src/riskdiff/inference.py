@@ -209,7 +209,7 @@ def delta_method_check(fit: FitResult, spec: ModelSpec,
     """
     grads = []
     for z1, z2 in CELLS:
-        d = design_columns(spec, z1, z2, std.distinct[0])
+        d = design_columns(spec, z1, z2, std.distinct)
         mu = expit_stable(fit.pi_hat @ d)
         grads.append(std.mean(d * (mu * (1.0 - mu))))
     return {name: float(g @ fit.sigma_hat @ g)

@@ -42,7 +42,7 @@ from .glm import FitResult, ModelSpec
 
 JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 DEFAULT_N_DRAWS = 1000
-#: Most draws x standardization rows one chunk may evaluate at once: it
+#: Most draws x distinct covariate rows one chunk may evaluate at once: it
 #: sizes the pool's tasks. The kernel's (draws, distinct rows) temporaries
 #: are bounded by effects.BLOCK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 20
@@ -288,17 +288,17 @@ def effect_distribution(fit: FitResult, spec: ModelSpec,
     Evaluation is chunked for memory and parallelism; neither chunking nor
     worker count can change the result because each draw owns its own RNG
     substream. A chunk holds at most chunk_size draws and at most
-    CHUNK_ELEMENTS draws x subject rows, which sizes the pool's tasks;
-    within a chunk the effect kernel works in blocks of at most
-    effects.BLOCK_ELEMENTS draws x distinct rows, divides each distinct
-    row's count by 1 + exp(-eta) and sums those along the rows for each
-    draw alone. At most one process per CPU and per chunk is started.
+    CHUNK_ELEMENTS draws x distinct rows, the rows the kernel evaluates,
+    which sizes the pool's tasks; within a chunk the effect kernel works in
+    blocks of at most effects.BLOCK_ELEMENTS draws x distinct rows, divides
+    each distinct row's count by 1 + exp(-eta) and sums those along the
+    rows for each draw alone. At most one process per CPU and per chunk is
+    started.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     L, jitter = _factor_with_jitter(fit.sigma_hat, allow_jitter)
-    std.counts  # fill the row cache first: each pickled chunk carries it
-    per_chunk = max(1, min(chunk_size, CHUNK_ELEMENTS // std.n))
+    per_chunk = max(1, min(chunk_size, CHUNK_ELEMENTS // len(std.distinct)))
     chunks = [(fit.pi_hat, L, spec, std, seed, start,
                min(start + per_chunk, n_draws))
               for start in range(0, n_draws, per_chunk)]

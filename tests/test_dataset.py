@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -413,6 +414,14 @@ class TestColumns:
         for col, want in ((cohort.y, [1, 0]), (cohort.z1, [0, 1]),
                           (cohort.z2, [1, 1])):
             assert col.dtype.kind == "i" and col.tolist() == want
+
+    @pytest.mark.parametrize("args", [(), ([1], [0], [0], [[1.0]], ("x1",))])
+    def test_direct_construction_names_the_constructors(self, args):
+        with pytest.raises(TypeError, match="from_columns or load_cohort"):
+            Cohort(*args)
+        # copies are built without __init__
+        cohort = cardia_cohort()
+        assert pickle.loads(pickle.dumps(cohort)) == cohort
 
     def test_records_rebuild_the_cohort(self, tmp_path):
         # Python lists, with one covariate row per subject, as the per-row

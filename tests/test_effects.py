@@ -57,6 +57,16 @@ class TestRisk:
         with pytest.raises(DimensionMismatch):
             risk((0.0, 0.0), CARDIA_MODEL, 0, 0, (67, 1, 0))
 
+    @pytest.mark.parametrize("z1, z2", [(0.5, 0), (2, 0), (1, -1), (0, 1.5)])
+    def test_exposures_other_than_0_or_1_are_refused(self, z1, z2):
+        # the kernel sums a cell's lead terms without their exposure factor
+        spec = ModelSpec.parse("z1,z2,z1*z2,x1")
+        pi, x = np.array([0.3, 0.8, -0.4, 0.5, 0.2]), (1.0,)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            risk(pi, spec, z1, z2, x)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            marginal_risk(pi, spec, z1, z2, single_row_std(x))
+
 
 class TestMarginalRisk:
     def test_single_row_equals_risk(self):
@@ -466,20 +476,25 @@ class TestKernelBits:
     def test_distinct_rows_by_exact_bytes(self):
         rows = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [np.nan, 2.0],
                          [np.nan, 2.0]])
-        distinct, inverse = StandardizationSet(rows).distinct
-        assert len(distinct) == 3
-        assert np.array_equal(distinct[inverse].view(np.uint64),
-                              rows.view(np.uint64))
+        std = StandardizationSet(rows)
+        assert std.n == 5 and std.counts.dtype == float
+        assert np.array_equal(std.distinct.view(np.uint64),
+                              np.unique(rows.view(np.uint64), axis=0))
+        assert ({r.tobytes(): c for r, c in zip(std.distinct, std.counts)}
+                == {rows[0].tobytes(): 2.0, rows[1].tobytes(): 1.0,
+                    rows[3].tobytes(): 2.0})
 
-    def test_pickled_set_keeps_cache_and_bits(self):
+    def test_pickled_set_keeps_rows_counts_and_bits(self):
         rng = np.random.default_rng(4)
         rows = rng.integers(0, 3, size=(40, 3)).astype(float)
         std = StandardizationSet(rows)
         pis = rng.normal(size=(20, CARDIA_MODEL.k))
         want = effect_triples_batch(pis, CARDIA_MODEL, std)
         copy = pickle.loads(pickle.dumps(std))
-        assert "distinct" in vars(copy)
-        assert np.array_equal(copy.distinct[1], std.distinct[1])
+        assert copy.n == std.n
+        for name in ("distinct", "counts"):
+            assert (getattr(copy, name).tobytes()
+                    == getattr(std, name).tobytes())
         for g, w in zip(effect_triples_batch(pis, CARDIA_MODEL, copy), want):
             assert np.array_equal(g, w)
 
@@ -516,7 +531,7 @@ class TestStandardizationMean:
         rows, w = case
         std = StandardizationSet(rows)
         distinct, counts = _distinct_counts(rows)
-        got = std.mean(_per_row(std.distinct[0], w))
+        got = std.mean(_per_row(std.distinct, w))
         formula = np.sum(_per_row(distinct, w) * counts, axis=-1) / len(rows)
         values = _per_row(rows, w)
         want = np.mean(values, axis=-1)
@@ -531,7 +546,7 @@ class TestStandardizationMean:
     @settings(max_examples=50, deadline=None)
     def test_bits_do_not_depend_on_stack_height(self, case):
         std = StandardizationSet(case[0])
-        values = _per_row(std.distinct[0], np.linspace(-3.0, 3.0, 7)[:, None])
+        values = _per_row(std.distinct, np.linspace(-3.0, 3.0, 7)[:, None])
         stacked = std.mean(values)
         for i in range(7):
             alone = std.mean(values[i:i + 1])
@@ -539,8 +554,8 @@ class TestStandardizationMean:
 
     def test_signed_zeros_stay_apart(self):
         std = StandardizationSet(np.array([[0.0], [-0.0], [0.0]]))
-        assert len(std.distinct[0]) == 2
-        got = std.mean(_per_row(std.distinct[0], 0.0))
+        assert len(std.distinct) == 2
+        got = std.mean(_per_row(std.distinct, 0.0))
         assert got == np.mean([np.pi, -np.pi, np.pi])
 
 

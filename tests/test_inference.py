@@ -314,7 +314,7 @@ class TestDeltaMethodCheck:
         # reference forms each gradient over every subject row
         fit, cohort = cardia_fit(), cardia_cohort()
         std = StandardizationSet.from_cohort(cohort)
-        assert len(std.distinct[0]) < std.n
+        assert len(std.distinct) < std.n
         dm = {}
         for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
             d = design_columns(CARDIA_MODEL, z1, z2, cohort.x)

@@ -2,7 +2,7 @@
 
 import concurrent.futures
 import math
-import os
+import pickle
 
 import numpy as np
 import pytest
@@ -381,9 +381,9 @@ class TestEffectDistribution:
         # and of CHUNK_ELEMENTS // 3000 = 349 draws hold several blocks and
         # a remainder; one-draw chunks never share a block
         fit, std = cardia_fit(), many_rows_std()
-        step = BLOCK_ELEMENTS // len(std.distinct[0])
+        step = BLOCK_ELEMENTS // len(std.distinct)
         assert 1 < step < 100
-        assert 100 % step and (CHUNK_ELEMENTS // std.n) % step
+        assert 100 % step and (CHUNK_ELEMENTS // len(std.distinct)) % step
         base = effect_distribution(fit, CARDIA_MODEL, std, n_draws=400,
                                    seed=3, chunk_size=1)
         for chunk_size in (100, 10 ** 6):
@@ -403,31 +403,34 @@ class TestEffectDistribution:
             assert np.array_equal(serial.component(which),
                                   parallel.component(which))
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
-    def test_pool_chunks_carry_the_row_cache(self):
-        # a fresh set's distinct rows and counts are built before its chunks
-        # are pickled, so no worker builds them again
-        std = many_rows_std(600)
-        effect_distribution(cardia_fit(), CARDIA_MODEL, std, n_draws=40,
-                            seed=8, chunk_size=20, workers=2)
-        assert {"distinct", "counts"} <= set(vars(std))
+    def test_pool_chunks_carry_distinct_rows_only(self):
+        # a pickled chunk's set holds 2 rows, not the 5000 subject rows
+        rows = np.repeat([[0.0], [1.0]], 2500, axis=0)
+        assert len(pickle.dumps(StandardizationSet(rows))) < rows.nbytes / 20
 
     def test_chunks_cap_rows_times_draws(self, monkeypatch):
         seen = []
         batch = montecarlo.effect_triples_batch
 
         def recording(pis, spec, std):
-            seen.append(len(pis) * std.n)
+            seen.append((len(pis), len(pis) * len(std.distinct)))
             return batch(pis, spec, std)
 
         monkeypatch.setattr(montecarlo, "effect_triples_batch", recording)
         fit = make_fit([-0.5, 0.4, 0.8, -0.3], 0.04 * np.eye(4),
                        names=SAT_MODEL.names)
-        rows = np.random.default_rng(0).normal(size=(5000, 1))
-        effect_distribution(fit, SAT_MODEL, StandardizationSet(rows=rows),
-                            n_draws=500, seed=1)
-        assert sum(seen) == 500 * 5000
-        assert max(seen) <= CHUNK_ELEMENTS
+        for rows, n_draws, per_chunk in (
+                # all 5000 rows distinct: CHUNK_ELEMENTS // 5000 draws
+                (np.random.default_rng(0).normal(size=(5000, 1)), 500, 209),
+                # 5000 rows of 2 distinct values: chunk_size (4096) binds
+                (np.repeat([[0.0], [1.0]], 2500, axis=0), 5000, 4096)):
+            seen.clear()
+            effect_distribution(fit, SAT_MODEL, StandardizationSet(rows),
+                                n_draws=n_draws, seed=1)
+            draws = [d for d, _ in seen]
+            assert sum(draws) == n_draws
+            assert draws[:-1] == [per_chunk] * (len(draws) - 1)
+            assert max(e for _, e in seen) <= CHUNK_ELEMENTS
 
     @pytest.mark.parametrize("workers, cpus, processes", [
         (10 ** 6, 3, 3),      # capped by the CPU count
