@@ -9,6 +9,7 @@ malformed cell rejects the whole file; rows are never silently dropped.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -19,9 +20,9 @@ import numpy as np
 from .errors import (DataError, EmptyFile, MissingColumn, MissingValue,
                      NonBinaryValue, NonFiniteValue)
 
-#: Rows per block of a written CSV: formatting .tolist() values is faster
-#: than numpy scalars, and a block bounds how many are held at once.
-CSV_BLOCK = 4096
+#: Rows per block of a written CSV: a block's lines are built as one byte
+#: matrix, and a block bounds how many are held at once.
+CSV_BLOCK = 16384
 
 
 class Cohort:
@@ -175,14 +176,137 @@ def load_cohort(path, schema: ColumnSchema) -> Cohort:
                                schema.covariates)
 
 
+_U = np.uint64
+_LO32, _U32 = _U(0xFFFFFFFF), _U(32)
+
+
+def _mulhilo(a, m):
+    """High and low 64-bit words of the 128-bit products a * m (the low is
+    the wrapping uint64 product), in 32-bit halves: numpy has no uint128."""
+    a_lo, a_hi = a & _LO32, a >> _U32
+    m_lo, m_hi = m & _LO32, m >> _U32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> _U32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * m_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    return hi, a * m
+
+
+def _schubfach_row(q):
+    """(h, g, 10**(20 + k)) for the doubles c 2**q: k = floor(log10(2**q)),
+    the integer g = 10**-k 2**(62 - f) in [2**62, 2**63) with f =
+    floor(log2(10**-k)), and ((4c << h) g) 2**-64 = 4c 2**q 10**-k."""
+    k = -len(str(2 ** -q))
+    f = (10 ** -k).bit_length() - 1
+    return q + f + 2, 10 ** -k << 62 >> f, 10 ** (20 + k)
+
+
+#: _schubfach_row for 2**-14 <= c 2**q < 1, in column q + 66, which is the
+#: biased exponent - 1009.
+_SCHUBFACH = np.array([_schubfach_row(q) for q in range(-66, -52)],
+                      dtype=np.uint64).T
+
+
+@functools.cache
+def _digits4():
+    """"dddd" for 0..9999 as uint32, then the same with each trailing "0"
+    NUL: the digit of 10**j is one where 10**(j + 1) divides i. Built on
+    first use, so that runs which write no CSV do not hold it."""
+    i = np.arange(10000)[:, None]
+    digits = i // [1000, 100, 10, 1] % 10 + 48
+    table = np.concatenate([digits, digits * (i % [10000, 1000, 100, 10] > 0)])
+    table = table.astype(np.uint8).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+#: A fraction field's first word for x < 0 and x > 0; its NUL is cut off.
+_NEG, _POS = np.frombuffer(b"\0-0.\0\x000.", np.uint32)
+
+
+def _shortest_decimals(x):
+    """(d, 10**(20 + k)) for float64 x with 1e-4 <= |x| < 1, where d 10**k
+    is the shortest decimal that rounds to x, the nearest if several (ties
+    to even d), as in repr: Schubfach (Giulietti, 2020, "The Schubfach way
+    to render doubles"), figure 7, in uint64 arithmetic. Here 10**-k is an
+    integer below 2**67, so 4 x 10**-k and the ends of the rounding interval
+    scale to exact 128-bit products. Those ends, halfway between doubles,
+    have over 50 decimals and 2**-n is a decimal of at most 10 digits, so
+    Schubfach's open ends for odd significands and narrower interval below
+    a power of two cannot change d and are left out."""
+    bits = x.view(np.uint64)
+    exponent = (bits >> _U(52) & _U(0x7FF)).astype(np.intp)
+    h, g, p = _SCHUBFACH.take(exponent - 1009, axis=1)
+    cb = (bits & _U((1 << 52) - 1) | _U(1 << 52)) << _U(2)
+    # 4 x 10**-k and the ends, rounded to odd: the products' high words,
+    # with the last bit set where the low word is not zero
+    vb, lo, hi = (high | (low != 0) for high, low in (
+        _mulhilo(v << h, g) for v in (cb, cb - _U(2), cb + _U(2))))
+    s = vb >> _U(2)
+    u = s // _U(10) * _U(10)
+    upin, wpin = lo <= u << _U(2), (u + _U(10)) << _U(2) <= hi
+    uin, win = lo <= s << _U(2), (s + _U(1)) << _U(2) <= hi
+    mid = (s << _U(2)) + _U(2)
+    up = np.where(uin != win, win, (vb > mid) | (vb == mid) & (s & _U(1) == 1))
+    d = np.where(upin != wpin, np.where(wpin, u + _U(10), u), s + up)
+    return d.view(np.int64), p.view(np.int64)
+
+
+def _fraction_field(x):
+    """(len(x), 23) bytes of repr for float64 1e-4 <= |x| < 1, NUL-padded:
+    a sign, "0." and the 20 digits of d 10**(20 + k), trailing zeros cut."""
+    d, p = _shortest_decimals(x)
+    low = d % 10 ** 8 * p  # the fraction's 20 digits are hi, then low
+    hi = d // 10 ** 8 * p + low // 10 ** 8
+    groups = (low % 10 ** 4, low // 10 ** 4 % 10 ** 4, hi % 10 ** 4,
+              hi // 10 ** 4 % 10 ** 4, hi // 10 ** 8)
+    out = np.empty((len(x), 6), np.uint32)
+    out[:, 0] = np.where(x < 0, _NEG, _POS)
+    zeros_after = True
+    for j, g in zip(range(5, 0, -1), groups):
+        out[:, j] = _digits4().take(g + 10 ** 4 * zeros_after)
+        zeros_after = zeros_after & (g == 0)
+    return out.view(np.uint8)[:, 1:]
+
+
+def _reprs(values):
+    """(len(values), w) ASCII bytes of each Python value's repr, NUL-padded."""
+    text = np.array([repr(v) for v in values.tolist()], dtype="S")
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
+
+
+def _field(column):
+    """_reprs(column), but float64 values with 1e-4 <= |v| < 1 take
+    _fraction_field; both give repr's bytes."""
+    if column.dtype != np.float64:
+        return _reprs(column)
+    fast = (np.abs(column) >= 1e-4) & (np.abs(column) < 1)
+    if not fast.any():
+        return _reprs(column)
+    if fast.all():
+        return _fraction_field(column)
+    slow = _reprs(column[~fast])
+    out = np.zeros((len(column), max(23, slow.shape[1])), np.uint8)
+    out[fast, :23] = _fraction_field(column[fast])
+    out[~fast, :slow.shape[1]] = slow
+    return out
+
+
 def columns_csv(header: str, columns) -> str:
-    """The header line, then one line per row of the 1-d columns: the repr
-    of each column's Python value, joined with ','."""
-    lines = [header]
-    for start in range(0, len(columns[0]), CSV_BLOCK):
-        lines += map(",".join, zip(*(map(repr, c[start:start + CSV_BLOCK]
-                                         .tolist()) for c in columns)))
-    return "\n".join(lines) + "\n"
+    """The header line, then one line per row of the equal-length 1-d
+    columns: the repr of each column's Python value, joined with ','. Each
+    block of CSV_BLOCK rows is one byte matrix of NUL-padded fields
+    (_field), commas and line ends; dropping its NULs gives the text."""
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns have unequal lengths {lengths}")
+    text = [header + "\n"]
+    for start in range(0, lengths[0], CSV_BLOCK):
+        fields = [_field(c[start:start + CSV_BLOCK]) for c in columns]
+        comma = np.full((len(fields[0]), 1), ord(","), np.uint8)
+        block = np.concatenate([a for f in fields for a in (f, comma)], 1)
+        block[:, -1] = ord("\n")
+        text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
 
 
 def cohort_csv(cohort: Cohort, schema: ColumnSchema) -> str:

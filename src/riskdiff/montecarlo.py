@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import columns_csv
+from .dataset import _mulhilo, columns_csv
 from .effects import StandardizationSet, effect_triples_batch
 from .errors import NotPositiveDefinite
 from .glm import FitResult, ModelSpec
@@ -50,8 +50,6 @@ CHUNK_ELEMENTS = 1 << 20
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
 
 # cephes ndtri: sqrt(2 pi), the branch point exp(-2), and the coefficients
 # of the central (P0/Q0) and tail (P1/Q1 for 2 <= x < 8, P2/Q2 for x >= 8)
@@ -132,20 +130,6 @@ def _factor_with_jitter(sigma, allow_jitter):
             if not allow_jitter:
                 raise
     raise NotPositiveDefinite(pivot=-1)
-
-
-def _mulhilo(a, m):
-    """High and low 64-bit words of the 128-bit products a * m.
-
-    Done in 32-bit halves, since numpy has no 128-bit integers; the low
-    word is the wrapping uint64 product.
-    """
-    a_lo, a_hi = a & _LO32, a >> _U32
-    m_lo, m_hi = m & _LO32, m >> _U32
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    mid = (ll >> _U32) + (lh & _LO32) + (hl & _LO32)
-    hi = a_hi * m_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    return hi, a * m
 
 
 def _philox_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
@@ -257,7 +241,8 @@ class EffectDistribution:
         return {"te1": self.te1, "te2": self.te2, "int": self.int_}[which.lower()]
 
     def to_csv(self) -> str:
-        """One line per draw; every value is the repr of its Python float."""
+        """One line per draw: its index, te1, te2 and int, each written as
+        the repr of its Python value (dataset.columns_csv)."""
         return columns_csv("draw_index,te1,te2,int", [
             np.arange(self.n_draws),
             *(np.asarray(v, dtype=float) for v in (self.te1, self.te2,

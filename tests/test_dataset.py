@@ -16,6 +16,7 @@ from riskdiff.dataset import (
     Cohort,
     _fast_columns,
     ColumnSchema,
+    columns_csv,
     describe,
     load_cohort,
     lower_median,
@@ -432,6 +433,79 @@ class TestColumns:
         columns = (cohort.y, cohort.z1, cohort.z2, cohort.x)
         assert Cohort.from_columns(*(c.tolist() for c in columns),
                                    cohort.covariate_names) == cohort
+
+
+def _repr_join(header, *columns):
+    """The reference writer: one ','-joined line of reprs per row."""
+    return "".join(f"{line}\n" for line in [header, *map(",".join, zip(
+        *([repr(v) for v in c.tolist()] for c in columns)))])
+
+
+#: Values at the edges of repr's forms and of the shortest-digit search,
+#: with both neighbours of 2**-1 ... 2**-14, where the gap below is half the
+#: gap above.
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e-4,
+    9.999999999999999e-05, 0.9999999999999999, 1.0, 0.1, 0.3, 0.1 + 0.2,
+    1 / 3, 1e16, 9999999999999998.0,
+    *(math.nextafter(2.0 ** -i, t) for i in range(1, 15)
+      for t in (0.0, 2.0 ** -i, 1.0))]
+
+
+def _assert_written_as_repr(x):
+    # the first mismatched lines, not a diff of the texts: pytest's diff of
+    # two long texts that differ on many lines takes minutes
+    got = columns_csv("v", [x]).split("\n")
+    want = _repr_join("v", x).split("\n")
+    mismatches = [(g, w) for g, w in zip(got, want) if g != w][:3]
+    assert (len(got), mismatches) == (len(want), [])
+
+
+def _bits_as_float(word):
+    return float(np.array(word, dtype=np.uint64).view(np.float64))
+
+
+_IN_RANGE = st.floats(1e-4, 1, exclude_max=True)
+
+
+class TestColumnsCsv:
+    """columns_csv writes each value's repr, byte for byte."""
+
+    @given(st.lists(st.one_of(
+        st.integers(0, 2 ** 64 - 1).map(_bits_as_float),
+        _IN_RANGE, _IN_RANGE.map(lambda v: -v), st.sampled_from(EDGE_VALUES)),
+        min_size=1, max_size=40))
+    @example(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    @settings(max_examples=200, deadline=None)
+    def test_floats_are_written_as_repr(self, values):
+        _assert_written_as_repr(np.array(values))
+
+    def test_in_range_bit_patterns_are_written_as_repr(self):
+        # every binary exponent of 2**-14 <= |v| < 1, random significands
+        rng = np.random.default_rng(28)
+        words = rng.integers(0, 2 ** 64, 60000, dtype=np.uint64)
+        exponents = rng.integers(1023 - 14, 1023, len(words), dtype=np.uint64)
+        x = ((words & np.uint64(0x800F_FFFF_FFFF_FFFF))
+             | exponents << np.uint64(52)).view(np.float64)
+        _assert_written_as_repr(x)
+
+    @pytest.mark.parametrize("m", range(15, 23))
+    def test_ties_between_shortest_decimals_go_to_even(self, m):
+        # o / 2**m for odd o has m decimals, the last a 5; where the shortest
+        # that round to it have m - 1 decimals (m = 17 on [0.5, 1)), the two
+        # candidates are equally near and repr takes the even one
+        odd = np.arange(2 ** (m - 1) + 1, 2 ** m, 2)[-2000:]
+        x = np.concatenate([odd, -odd]) / 2.0 ** m
+        _assert_written_as_repr(x)
+
+    @pytest.mark.parametrize("columns", [
+        [np.arange(3), np.arange(2.0)], [np.arange(2), np.arange(5.0)]])
+    def test_unequal_lengths_raise(self, columns):
+        lengths = [len(c) for c in columns]
+        with pytest.raises(ValueError, match=rf"lengths \[{lengths[0]}, "
+                                             rf"{lengths[1]}\]"):
+            columns_csv("a,b", columns)
 
 
 class TestRoundTrip:

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtri
 
-from riskdiff import montecarlo
+from riskdiff import dataset, montecarlo
 from riskdiff.dataset import CSV_BLOCK
 from riskdiff.effects import BLOCK_ELEMENTS, StandardizationSet, effect_triple
 from riskdiff.errors import NonFiniteEffects, NotPositiveDefinite
-from riskdiff.fixtures import cardia_cohort, cardia_fit
+from riskdiff.fixtures import CARDIA_SCHEMA, cardia_cohort, cardia_fit
 from riskdiff.glm import CARDIA_MODEL, FitResult, ModelSpec, expit_stable
+from riskdiff.inference import histogram_csv
 from riskdiff.montecarlo import (
     CHUNK_ELEMENTS,
     EffectDistribution,
@@ -521,18 +522,51 @@ class TestSerialization:
         assert first[0] == "0"
         assert float(first[1]) == dist.te1[0]  # repr round-trips exactly
 
-    def test_csv_is_per_element_repr(self):
+    def test_csv_is_per_element_repr(self, monkeypatch):
         n = 2 * CSV_BLOCK + 3
         rng = np.random.default_rng(6)
         te1, te2, int_ = rng.normal(scale=0.3, size=(3, n))
         te1[[0, CSV_BLOCK, n - 1]] = (-0.0, 5e-324, 0.1 + 0.2)
         te2[CSV_BLOCK - 1:CSV_BLOCK + 1] = (0.0, -5e-324)
+        # forms other than 0.ddd, on both sides of a block boundary
+        other = (1e-5, -9.999999999999999e-05, 1.0, -1.5, 1e16, math.nan,
+                 math.inf)
+        int_[CSV_BLOCK - 7:CSV_BLOCK + 7] = other + other
+        te2[CSV_BLOCK + 2:CSV_BLOCK + 9] = other
+
+        def mismatches(dist):
+            # (line count - expected, first mismatched lines): pytest's diff
+            # of two long texts that differ on many lines takes minutes
+            got = dist.to_csv().split("\n")
+            want = ["draw_index,te1,te2,int"] + [
+                f"{i},{float(dist.te1[i])!r},{float(dist.te2[i])!r},"
+                f"{float(dist.int_[i])!r}" for i in range(dist.n_draws)] + [""]
+            return (len(got) - len(want),
+                    [(g, w) for g, w in zip(got, want) if g != w][:3])
+
         dist = EffectDistribution(te1=te1, te2=te2, int_=int_, n_draws=n,
                                   seed=0, source_hash="x")
-        want = ["draw_index,te1,te2,int"] + [
-            f"{i},{float(te1[i])!r},{float(te2[i])!r},{float(int_[i])!r}"
-            for i in range(n)]
-        assert dist.to_csv() == "\n".join(want) + "\n"
+        assert mismatches(dist) == (0, [])
+        part = [v[CSV_BLOCK - 9:CSV_BLOCK + 11] for v in (te1, te2, int_)]
+        short = EffectDistribution(*part, n_draws=20, seed=0, source_hash="x")
+        text = short.to_csv()
+        for block in (1, 7):
+            monkeypatch.setattr(dataset, "CSV_BLOCK", block)
+            assert short.to_csv() == text and mismatches(short) == (0, [])
+        monkeypatch.undo()
+        # float edges with int counts, and a cohort with no value in 0.ddd form
+        counts, edges = np.histogram(te1, bins=30)
+        assert histogram_csv(te1) == "bin_lo,bin_hi,count\n" + "".join(
+            f"{lo!r},{hi!r},{c!r}\n"
+            for lo, hi, c in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                 counts.tolist()))
+        cohort = cardia_cohort()
+        rows = zip(cohort.y.tolist(), cohort.z1.tolist(), cohort.z2.tolist(),
+                   cohort.x.tolist())
+        assert dataset.cohort_csv(cohort, CARDIA_SCHEMA) == (
+            "survival,large_hospital,advanced_stage,age,male,urban\n"
+            + "".join(",".join(map(repr, [y, z1, z2, *x])) + "\n"
+                      for y, z1, z2, x in rows))
 
     def test_length_invariant(self):
         with pytest.raises(ValueError):
