@@ -13,7 +13,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,10 +280,6 @@ def _field(column):
     if column.dtype != np.float64:
         return _reprs(column)
     fast = (np.abs(column) >= 1e-4) & (np.abs(column) < 1)
-    if not fast.any():
-        return _reprs(column)
-    if fast.all():
-        return _fraction_field(column)
     slow = _reprs(column[~fast])
     out = np.zeros((len(column), max(23, slow.shape[1])), np.uint8)
     out[fast, :23] = _fraction_field(column[fast])
@@ -333,26 +329,16 @@ _CELL_ORDER = ((1, 1), (0, 1), (1, 0), (0, 0))
 
 
 @dataclass(frozen=True)
-class CellCounts:
-    """events/total for each (z1, z2) exposure cell."""
-
-    events: dict = field(default_factory=dict)
-    totals: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class DescriptiveTable:
-    overall: CellCounts
-    # covariate name -> {level label: CellCounts}
+    overall: dict  # (z1, z2) exposure cell -> (events, total)
+    # covariate name -> {level label: {(z1, z2): (events, total)}}
     by_covariate: dict
     split_values: dict  # covariate name -> threshold used (continuous only)
 
     def to_json(self) -> str:
         def cc(c):
-            return {
-                f"z1={z1},z2={z2}": [c.events[(z1, z2)], c.totals[(z1, z2)]]
-                for z1, z2 in _CELL_ORDER
-            }
+            return {f"z1={z1},z2={z2}": list(c[(z1, z2)])
+                    for z1, z2 in _CELL_ORDER}
 
         payload = {
             "overall": cc(self.overall),
@@ -369,8 +355,7 @@ class DescriptiveTable:
         rows = []
 
         def line(label, c):
-            rows.append([label, *(f"{c.events[k]}/{c.totals[k]}"
-                                  for k in _CELL_ORDER)])
+            rows.append([label, *("%d/%d" % c[k] for k in _CELL_ORDER)])
 
         line("overall", self.overall)
         for name, levels in self.by_covariate.items():
@@ -385,12 +370,11 @@ class DescriptiveTable:
         return "\n".join(out)
 
 
-def _tabulate(cohort: Cohort, mask=True) -> CellCounts:
-    cells = {k: (cohort.z1 == k[0]) & (cohort.z2 == k[1]) & mask
-             for k in _CELL_ORDER}
-    return CellCounts(events={k: int(cohort.y[c].sum())
-                              for k, c in cells.items()},
-                      totals={k: int(c.sum()) for k, c in cells.items()})
+def _tabulate(cohort: Cohort, mask=True) -> dict:
+    """{(z1, z2): (events, total)} over the subjects in mask."""
+    cells = ((k, (cohort.z1 == k[0]) & (cohort.z2 == k[1]) & mask)
+             for k in _CELL_ORDER)
+    return {k: (int(cohort.y[c].sum()), int(c.sum())) for k, c in cells}
 
 
 def describe(cohort: Cohort, split_at: dict | None = None) -> DescriptiveTable:

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -418,30 +421,42 @@ class TestUnreadableInput:
 
 
 class TestNonFiniteCovariate:
-    """An infinite covariate cell exits 2 naming its row, column and value."""
+    """A bad cohort file exits 2 with the DataError naming the first bad
+    cell (its row, column and value) or the missing column."""
+
+    #: (line, cell index, new text, error, message) for each bad file
+    CASES = [
+        (4, 3, "inf", "NonFiniteValue",
+         "column 'age' must be finite but row 4 has 'inf'"),
+        (4, 0, "2", "NonBinaryValue",
+         "column 'survival' must be 0/1 but row 4 has '2'"),
+        (4, 3, "", "MissingValue", "missing value at row 4, column 'age'"),
+        (0, 2, "stage", "MissingColumn",
+         "required column 'advanced_stage' not found in header"),
+    ]
 
     @pytest.mark.parametrize("command", ["describe", "fit", "report"])
     def test_exit_2(self, command, fixture_dir, tmp_path, capsys):
-        lines = (fixture_dir / "cardia_cohort.csv").read_text().splitlines()
-        cells = lines[4].split(",")
-        cells[3] = "inf"  # age
-        lines[4] = ",".join(cells)
-        p = tmp_path / "cohort.csv"
-        p.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
-        argv = [command, "--input", str(p), *COLS]
-        if command != "describe":
-            argv += ["--model", MODEL, "--out", str(out)]
-        if command == "report":
-            argv += ["--seed", "1", "--fit-json",
-                     str(fixture_dir / "cardia_fit.json")]
-        code, stdout, err = run(argv, capsys)
-        assert (code, stdout) == (2, "")
-        error = json.loads(err)["errors"][0]
-        assert error["error"] == "NonFiniteValue"
-        assert error["message"] == \
-            "column 'age' must be finite but row 4 has 'inf'"
-        assert not out.exists()
+        original = (fixture_dir / "cardia_cohort.csv").read_text()
+        for line, cell, text, name, message in self.CASES:
+            lines = original.splitlines()
+            cells = lines[line].split(",")
+            cells[cell] = text
+            lines[line] = ",".join(cells)
+            p = tmp_path / "cohort.csv"
+            p.write_text("\n".join(lines) + "\n")
+            out = tmp_path / "out"
+            argv = [command, "--input", str(p), *COLS]
+            if command != "describe":
+                argv += ["--model", MODEL, "--out", str(out)]
+            if command == "report":
+                argv += ["--seed", "1", "--fit-json",
+                         str(fixture_dir / "cardia_fit.json")]
+            code, stdout, err = run(argv, capsys)
+            assert (code, stdout) == (2, ""), name
+            error = json.loads(err)["errors"][0]
+            assert (error["error"], error["message"]) == (name, message)
+            assert not out.exists(), name
 
 
 class TestTiedTerciles:
@@ -517,7 +532,10 @@ class TestLazyScipy:
 
 
 class TestTracedBenchmarkNames:
-    """perfbench/traced_cli.py wraps these attributes; they must exist."""
+    """perfbench wraps, imports and inspects these riskdiff names; they must
+    exist, and its self-test must pass."""
+
+    PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
     def test_cli_calls_are_callable(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -530,6 +548,44 @@ class TestTracedBenchmarkNames:
                    if not callable(getattr(cli, name, None))]
         assert missing == []
         assert callable(EffectDistribution.to_csv)
+
+    def test_imported_names_exist(self):
+        """Every `from riskdiff... import` in perfbench, found in its source
+        (run.chunk_size, run.direct_calls and checks.build_reference import
+        inside the function), names an attribute of that module."""
+        imported = set()
+        for path in self.PERFBENCH.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.ImportFrom) and node.module
+                        and node.module.split(".")[0] == "riskdiff"):
+                    imported |= {(node.module, a.name) for a in node.names}
+        assert imported >= {
+            ("riskdiff", "sample_parameters"),
+            ("riskdiff.effects", "effect_triples_batch"),
+            *(("riskdiff", name) for name in (
+                "ColumnSchema", "FitResult", "ModelSpec", "StandardizationSet",
+                "build_design", "effect_distribution", "fit_logistic",
+                "load_cohort"))}
+        missing = [(module, name) for module, name in sorted(imported)
+                   if not hasattr(importlib.import_module(module), name)]
+        assert missing == []
+
+    def test_chunk_size_default_is_an_int(self):
+        """run.chunk_size() reads effect_distribution's chunk_size default
+        and steps through the draws by it."""
+        from riskdiff import effect_distribution
+        default = inspect.signature(effect_distribution).parameters[
+            "chunk_size"].default
+        assert type(default) is int and default > 0
+
+    def test_selftest_passes(self):
+        """perfbench/selftest.py: every output check rejects the perturbed
+        bundle it is meant to catch. It works under perfbench/work/ and
+        removes what it made there."""
+        result = subprocess.run(
+            [sys.executable, str(self.PERFBENCH / "selftest.py")],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stdout + result.stderr
 
 
 class TestSeparatedCohort:

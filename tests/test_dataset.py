@@ -551,42 +551,37 @@ class TestDescribe:
     def test_single_record(self):
         cohort = Cohort.from_columns([1], [0], [0], [[1.0]], ("x1",))
         table = describe(cohort)
-        assert table.overall.events[(0, 0)] == 1
-        assert table.overall.totals[(0, 0)] == 1
+        assert table.overall[(0, 0)] == (1, 1)
         for cell in ((1, 1), (0, 1), (1, 0)):
-            assert table.overall.totals[cell] == 0
+            assert table.overall[cell][1] == 0
 
     def test_fixture_overall_cells(self):
         table = describe(cardia_cohort())
-        assert (table.overall.events[(1, 1)],
-                table.overall.totals[(1, 1)]) == (23, 75)
-        assert (table.overall.events[(0, 1)],
-                table.overall.totals[(0, 1)]) == (4, 36)
-        assert (table.overall.events[(1, 0)],
-                table.overall.totals[(1, 0)]) == (23, 31)
-        assert (table.overall.events[(0, 0)],
-                table.overall.totals[(0, 0)]) == (5, 8)
+        assert table.overall[(1, 1)] == (23, 75)
+        assert table.overall[(0, 1)] == (4, 36)
+        assert table.overall[(1, 0)] == (23, 31)
+        assert table.overall[(0, 0)] == (5, 8)
 
     def test_fixture_age_split(self):
         # the fixture documents its descriptive age threshold; under it the
         # young stratum of the doubly exposed cell holds 12 events / 41
         table = describe(cardia_cohort(), split_at={"age": AGE_SPLIT})
         low = table.by_covariate["age"][f"age<={AGE_SPLIT:g}"]
-        assert (low.events[(1, 1)], low.totals[(1, 1)]) == (12, 41)
+        assert low[(1, 1)] == (12, 41)
 
     def test_binary_covariates_split_by_level(self):
         table = describe(cardia_cohort())
         male = table.by_covariate["male"]
         assert set(male) == {"male=0", "male=1"}
-        total = sum(male["male=0"].totals.values()) \
-            + sum(male["male=1"].totals.values())
+        total = sum(t for level in male.values() for _, t in level.values())
         assert total == 150
 
     def test_cell_totals_sum_to_n(self):
         cohort = cardia_cohort()
         table = describe(cohort)
-        assert sum(table.overall.totals.values()) == cohort.n
-        assert sum(table.overall.events.values()) == cohort.y.sum()
+        events, totals = zip(*table.overall.values())
+        assert sum(totals) == cohort.n
+        assert sum(events) == cohort.y.sum()
 
     @given(st.permutations(range(20)))
     @settings(max_examples=25)
