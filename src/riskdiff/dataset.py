@@ -94,36 +94,28 @@ def _check_cell(raw, row, column, binary):
         raise NonFiniteValue(row, column, raw)
 
 
-_PLAIN = dict.fromkeys(map(ord, "0123456789+-.eE, \n"))
+_PLAIN = dict.fromkeys(map(ord, "0123456789+-.eE, \r\n"))
 
 
-def _fast_columns(path, wanted):
+def _fast_columns(body, cols):
     """(y, z1, z2, x) read by numpy, or None where csv and float() may differ.
 
-    Lines end at CR, LF or CRLF, for universal newlines as for csv.reader.
-    Requires: the file decodes; its header line has no quote and names every
-    wanted column; the body has a line, no blank line, no line over
-    ``csv.field_size_limit()``, only ``0-9+-.eE``, comma, space and newline
-    (so csv splits lines at commas, and numpy parses numbers with float()'s
-    parser); numpy reads one row per line; binary cells are exactly "0" or
-    "1" ("1.0" and " 1" stay 2 characters); covariates are finite.
+    body is the text below the header, cols the wanted columns' indices.
+    Lines end at CR, LF or CRLF, as csv.reader splits them. Requires: no
+    blank line, no line over ``csv.field_size_limit()``, only ``0-9+-.eE``,
+    comma, space and line ends (so csv splits lines at commas, and numpy
+    parses numbers with float()'s parser); numpy reads one row per line;
+    binary cells are exactly "0" or "1" ("1.0" and " 1" stay 2 characters);
+    covariates are finite.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            head, _, body = fh.read().partition("\n")
-    except (OSError, UnicodeDecodeError):
+    lines = body.splitlines()
+    if ("" in lines or body.translate(_PLAIN)
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
-    header = [h.strip() for h in head.split(",")]
-    lines = body.removesuffix("\n").split("\n")
-    if ('"' in head or "" in lines or body.translate(_PLAIN)
-            or not set(wanted) <= set(header)
-            or max(len(head), max(map(len, lines))) > csv.field_size_limit()):
-        return None
-    dtype = [("b", "U2", (3,)), ("x", float, (len(wanted) - 3,))]
+    dtype = [("b", "U2", (3,)), ("x", float, (len(cols) - 3,))]
     try:
         rec = np.loadtxt(lines, dtype, delimiter=",", comments=None,
-                         quotechar=None, ndmin=1,
-                         usecols=[header.index(col) for col in wanted])
+                         quotechar=None, ndmin=1, usecols=cols)
     except ValueError:
         return None
     ones, x = rec["b"] == "1", rec["x"]
@@ -136,30 +128,30 @@ def _fast_columns(path, wanted):
 def load_cohort(path, schema: ColumnSchema) -> Cohort:
     """Read a headered CSV into a Cohort, validating every cell.
 
-    numpy reads a plain numeric file (see ``_fast_columns``), csv.reader and
-    float() any other; both give the same cohort, bit for bit.
+    csv.reader reads the header; numpy a plain numeric body (_fast_columns),
+    csv.reader and float() any other; both give the same cohort, bit for bit.
     """
     wanted = [schema.outcome, schema.exposure1, schema.exposure2,
               *schema.covariates]
-    columns = _fast_columns(path, wanted)
-    if columns is not None:
-        return Cohort.from_columns(*columns, schema.covariates)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise EmptyFile(f"{path} is empty")
             header = [h.strip() for h in header]
             for col in wanted:
                 if col not in header:
                     raise MissingColumn(col)
-            rows = list(reader)
+            body = fh.read()
+        if not body:
+            raise EmptyFile(f"{path} contains a header but no data rows")
+        cols = [header.index(col) for col in wanted]
+        columns = _fast_columns(body, cols)
+        if columns is not None:
+            return Cohort.from_columns(*columns, schema.covariates)
+        rows = list(csv.reader(io.StringIO(body, newline="")))
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"cannot read {path}: {e}") from None
-    if not rows:
-        raise EmptyFile(f"{path} contains a header but no data rows")
-    cols = [header.index(col) for col in wanted]
     try:
         y, z1, z2 = ([("0", "1").index(row[j].strip()) for row in rows]
                      for j in cols[:3])

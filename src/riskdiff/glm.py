@@ -117,12 +117,11 @@ CARDIA_MODEL = ModelSpec.parse("z1,z2,z1*z2,x1,x2,x3,z1*x1")
 
 
 def design_columns(spec: ModelSpec, z1, z2, rows) -> np.ndarray:
-    """k-by-n design columns, one per model term, for n covariate rows.
+    """k-by-n design columns, one per model term, for n-by-m float rows.
 
     z1 and z2 are scalars (every row at the same exposures) or per-row
     arrays (each subject's observed exposures).
     """
-    rows = np.asarray(rows, dtype=float)
     n, m = rows.shape
     # multiplying by a factor of 1.0 is exact, so this changes no column bits
     factor = {"1": 1.0, "z1": z1, "z2": z2, "z1*z2": z1 * z2}

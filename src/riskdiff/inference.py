@@ -28,8 +28,6 @@ def quantile(samples, p):
     if s.size == 0:
         raise EmptySamples("cannot take a quantile of no samples")
     p = np.asarray(p, dtype=float)
-    if not ((0.0 <= p) & (p <= 1.0)).all():
-        raise ValueError("p must lie in [0, 1]")
     q = np.quantile(s, p)
     return tuple(q.tolist()) if p.ndim else float(q)
 

@@ -86,10 +86,11 @@ class TestDescribe:
 
 class TestFit:
     def test_writes_fit_json(self, fixture_dir, tmp_path, capsys):
-        code, _, _ = run(["fit", "--input",
-                          str(fixture_dir / "cardia_cohort.csv"), *COLS,
-                          "--model", MODEL, "--out", str(tmp_path)], capsys)
+        code, out, _ = run(["fit", "--input",
+                            str(fixture_dir / "cardia_cohort.csv"), *COLS,
+                            "--model", MODEL, "--out", str(tmp_path)], capsys)
         assert code == 0
+        assert out == f"wrote fit.json to {tmp_path}\n"
         payload = json.loads((tmp_path / "fit.json").read_text())
         assert payload["terms"] == ["1", "z1", "z2", "z1*z2",
                                     "x1", "x2", "x3", "z1*x1"]
@@ -298,6 +299,28 @@ class TestFailurePaths:
         argv = ["fit", "--input", str(cohort), *COLS, "--model", MODEL]
         assert self._one_error(argv, tmp_path / "out", 3,
                                capsys) == "NonFiniteFit"
+
+    def test_fit_error_messages_exit_3(self, fixture_dir, tmp_path, capsys):
+        """A covariate index past the covariates and a fit JSON covariance
+        that is not positive definite each exit 3 with their message."""
+        d = json.loads((fixture_dir / "cardia_fit.json").read_text())
+        cov = np.eye(len(d["terms"]))
+        cov[0, 1] = cov[1, 0] = 2.0
+        d["covariance"] = cov.ravel().tolist()
+        (tmp_path / "fit.json").write_text(json.dumps(d))
+        for argv, name, message in [
+                (["fit", "--input", str(fixture_dir / "cardia_cohort.csv"),
+                  *COLS, "--model", "z1,z2,x4"], "BadCovariateIndex",
+                 "covariate index 4 out of range for 3 covariates"),
+                (self._report(fixture_dir, tmp_path / "fit.json"),
+                 "NotPositiveDefinite",
+                 "matrix not positive definite (leading minor at pivot 1)")]:
+            out = tmp_path / "out"
+            code, stdout, err = run(argv + ["--out", str(out)], capsys)
+            assert (code, stdout) == (3, ""), name
+            (error,) = json.loads(err)["errors"]
+            assert (error["error"], error["message"]) == (name, message)
+            assert not out.exists() or not any(out.iterdir()), name
 
     def test_zero_draws_exit_4(self, fixture_dir, tmp_path, capsys):
         self._fails(self._report(fixture_dir) + ["--draws", "0"],

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskdiff import dataset
 from riskdiff.dataset import (
     Cohort,
-    _fast_columns,
     ColumnSchema,
     columns_csv,
     describe,
@@ -64,6 +64,7 @@ class TestLoadCohort:
             load_cohort(p, SCHEMA)
         assert exc.value.row == 2
         assert exc.value.column == "y"
+        assert exc.value.value == "2"
 
     @pytest.mark.parametrize("cell", ["inf", " -Infinity ", "1e999"])
     def test_non_finite_covariate_rejects_file(self, tmp_path, cell):
@@ -79,13 +80,15 @@ class TestLoadCohort:
 
     def test_missing_column(self, tmp_path):
         p = write_csv(tmp_path, "y,z1,age,male,urban\n1,0,50,1,0\n")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(MissingColumn) as exc:
             load_cohort(p, SCHEMA)
+        assert exc.value.column == "z2"
 
     def test_missing_value(self, tmp_path):
         p = write_csv(tmp_path, "y,z1,z2,age,male,urban\n1,0,0,,1,0\n")
-        with pytest.raises(MissingValue):
+        with pytest.raises(MissingValue) as exc:
             load_cohort(p, SCHEMA)
+        assert (exc.value.row, exc.value.column) == (1, "age")
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFile):
@@ -237,6 +240,20 @@ def _csv_case(header, *rows, end="\n"):
     return header + end + "".join(r + end for r in rows)
 
 
+def _took_fast_path(path, schema, monkeypatch):
+    """Whether load_cohort(path, schema) took numpy's reader."""
+    fast_columns, results = dataset._fast_columns, []
+
+    def spy(*args):
+        results.append(fast_columns(*args))
+        return results[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_fast_columns", spy)
+        _load_outcome(load_cohort, path, schema)
+    return any(r is not None for r in results)
+
+
 class TestFastPathMatchesPerRowLoader:
     """numpy's reader runs only where it gives what csv and float() give.
 
@@ -260,9 +277,9 @@ class TestFastPathMatchesPerRowLoader:
         (_csv_case("y,z1,z2,x1", ROW, "0,1,1,6", end="\r\n"), True),
         (_csv_case("y,z1,z2,x1", '1,0,0,"5"'), False),
         (_csv_case("y,z1,z2,x1,w", '1,0,0,5,"2,3"'), False),
-        (_csv_case('"y",z1,z2,x1', ROW), False),
-        # csv reads 4 columns after the quoted comma, a plain split 5
-        (_csv_case('"a,b",y,z1,z2,x1', "9,1,0,0,1,7"), False),
+        # csv reads the header for both readers, quoted names included
+        (_csv_case('"y",z1,z2,x1', ROW), True),
+        (_csv_case('"a,b",y,z1,z2,x1', "9,1,0,0,1,7"), True),
         # csv and universal newlines both end the header at the CR
         ("y,z1,z2,x1,w\r1,0,0,5,7\n0,1,1,6,8\n", True),
         (_csv_case("y,z1,z2,x1", "1,0,0,5\x00"), False),
@@ -277,32 +294,46 @@ class TestFastPathMatchesPerRowLoader:
                              ("-0.0", True), (" 4.25 ", True),
                              ("1_000", False), ("\uff15", False)]),
     ])
-    def test_guard(self, tmp_path, text, fast):
+    def test_guard(self, tmp_path, monkeypatch, text, fast):
         m = text.partition("\n")[0].count("x")
         schema = ColumnSchema("y", "z1", "z2",
                               tuple(f"x{j}" for j in range(1, m + 1)))
         path = tmp_path / "c.csv"
         path.write_bytes(text.encode("utf-8"))
-        wanted = ["y", "z1", "z2", *schema.covariates]
-        assert (_fast_columns(path, wanted) is not None) == fast
+        assert _took_fast_path(path, schema, monkeypatch) == fast
         got = _load_outcome(load_cohort, path, schema)
         want = _load_outcome(per_row_load_cohort, path, schema)
         assert got == want
         if isinstance(want, Cohort):
             assert got.x.tobytes() == want.x.tobytes()
 
-    def test_plain_files_take_fast_path(self, tmp_path):
+    def test_plain_files_take_fast_path(self, tmp_path, monkeypatch):
         p = tmp_path / "cardia.csv"
         save_cohort(cardia_cohort(), p, CARDIA_SCHEMA)
         lf = p.read_bytes()  # save_cohort ends lines LF
-        wanted = ["survival", "large_hospital", "advanced_stage",
-                  *CARDIA_SCHEMA.covariates]
-        for text in (lf.replace(b"\n", b"\r\n"), lf):
+        head, _, body = lf.partition(b"\n")
+        quoted = b",".join(b'"%s"' % h for h in head.split(b","))
+        # R's write.csv(row.names = FALSE) quotes every header name
+        for text in (lf.replace(b"\n", b"\r\n"), lf, quoted + b"\n" + body):
             p.write_bytes(text)
-            assert _fast_columns(p, wanted) is not None
-            assert load_cohort(p, CARDIA_SCHEMA) == cardia_cohort()
+            assert _took_fast_path(p, CARDIA_SCHEMA, monkeypatch)
+            got = load_cohort(p, CARDIA_SCHEMA)
+            assert got == cardia_cohort()
+            assert got.x.tobytes() == cardia_cohort().x.tobytes()
         p = write_csv(tmp_path, "y,z1,z2,age,male,urban\n1,0,0,50,1,0\n")
-        assert _fast_columns(p, ["y", "z1", "z2", "age"]) is not None
+        assert _took_fast_path(p, ColumnSchema("y", "z1", "z2", ("age",)),
+                               monkeypatch)
+
+    @pytest.mark.parametrize("body, fast", [("1,0,0,50\n", True),
+                                            ('1,0,0,"50"\n', False)])
+    def test_header_names_are_stripped(self, tmp_path, monkeypatch, body,
+                                       fast):
+        p = write_csv(tmp_path, " y , z1,z2 ,age\n" + body)
+        schema = ColumnSchema("y", "z1", "z2", ("age",))
+        assert _took_fast_path(p, schema, monkeypatch) == fast
+        got = load_cohort(p, schema)
+        assert got == per_row_load_cohort(p, schema)
+        assert got.x.tolist() == [[50.0]]
 
     @example(cells=["1e"], binary=["1", "0", "0"], bad_binary=None, end="\n")
     @example(cells=[".e1"], binary=["1", "0", "0"], bad_binary=None,

@@ -484,6 +484,15 @@ class TestKernelBits:
                 == {rows[0].tobytes(): 2.0, rows[1].tobytes(): 1.0,
                     rows[3].tobytes(): 2.0})
 
+    def test_int_lists_give_the_float_array_set(self):
+        rows = [[3, 0], [1, 1], [3, 0], [-2, 1]]
+        got, want = (StandardizationSet(r) for r in (rows, np.array(rows, float)))
+        assert got.n == want.n == 4
+        for name in ("distinct", "counts"):
+            assert getattr(got, name).dtype == float
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes())
+
     def test_pickled_set_keeps_rows_counts_and_bits(self):
         rng = np.random.default_rng(4)
         rows = rng.integers(0, 3, size=(40, 3)).astype(float)

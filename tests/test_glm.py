@@ -107,8 +107,9 @@ class TestBuildDesign:
 
     def test_bad_covariate_index(self):
         cohort = make_cohort([(0, 0, 0, (1.0,))])
-        with pytest.raises(BadCovariateIndex):
+        with pytest.raises(BadCovariateIndex) as exc:
             build_design(cohort, ModelSpec.parse("z1,z2,x2"))
+        assert (exc.value.index, exc.value.n_covariates) == (2, 1)
 
     def test_all_seven_term_kinds(self):
         spec = ModelSpec.parse("z1,z2,z1*z2,x2,z1*x1,z2*x2")
@@ -158,6 +159,15 @@ class TestFitLogistic:
         X = np.column_stack([np.ones(20), np.r_[np.zeros(10), np.ones(10)]])
         y = np.r_[np.zeros(10), np.ones(10)]
         with pytest.raises(SeparationDetected):
+            fit_logistic(X, y)
+
+    def test_quasi_separated_covariate(self):
+        # every x = 1 subject has an event and the x = 0 subjects are mixed:
+        # the x coefficient grows without bound while the x = 0 logits stay
+        # finite, so only the bound on the coefficients stops the fit
+        X = np.column_stack([np.ones(40), np.r_[np.ones(10), np.zeros(30)]])
+        y = np.r_[np.ones(22), np.zeros(18)]
+        with pytest.raises(SeparationDetected, match="coefficient magnitude"):
             fit_logistic(X, y)
 
     def test_rank_deficient_design(self):
@@ -257,17 +267,21 @@ class TestFitLogistic:
         assert np.array_equal(fit.sigma_hat, (sigma + sigma.T) / 2.0)
         assert fit.loglik == float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_memory_layout_moves_no_bit(self, seed):
+    @pytest.mark.parametrize("seed", [1, 2, 3, 2503])
+    def test_memory_layout_moves_no_bit(self, seed, cohort_rows_design):
         # the same values in Fortran order and as strided column views: the
-        # fit's BLAS calls sum in an order set by the layout
-        rng = np.random.default_rng(seed)
-        n = 2000
-        X = np.column_stack([np.ones(n), rng.normal(size=(n, 3)),
-                             rng.integers(0, 2, (n, 2))])
-        eta = X @ rng.normal(scale=0.5, size=6)
-        y = (rng.random(n) < expit_stable(eta)).astype(float)
-        table = np.column_stack([y, X])  # rows 56 bytes apart
+        # fit's BLAS calls sum in an order set by the layout. Seed 2503 is
+        # perfbench's cohort-rows input, where a strided y moves the fit.
+        if seed == 2503:
+            X, y = cohort_rows_design(seed)
+        else:
+            rng = np.random.default_rng(seed)
+            n = 2000
+            X = np.column_stack([np.ones(n), rng.normal(size=(n, 3)),
+                                 rng.integers(0, 2, (n, 2))])
+            eta = X @ rng.normal(scale=0.5, size=6)
+            y = (rng.random(n) < expit_stable(eta)).astype(float)
+        table = np.column_stack([y, X])  # rows 8 (k + 1) bytes apart
         base = fit_logistic(X, y)
         for X_, y_ in ((np.asfortranarray(X), y), (X, table[:, 0]),
                        (table[:, 1:], table[:, 0])):

@@ -137,6 +137,17 @@ class TestConfidenceEllipse:
         for q in ([0.5, -1.0], [2.0, 2.0], [-3.0, 0.1]):
             assert ell.contains(q) == ell_swapped.contains(q[::-1])
 
+    def test_int_lists_give_the_float_array_ellipse(self):
+        pairs = [[1, 2], [3, -1], [0, 0], [2, 5], [-4, 1]]
+        got = confidence_ellipse(pairs, alpha=0.1).to_dict()
+        assert got == confidence_ellipse(np.array(pairs, float),
+                                         alpha=0.1).to_dict()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_alpha_outside_the_open_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            confidence_ellipse(self._cloud(n=100), alpha)
+
     def test_collinear_cloud(self):
         t = np.linspace(0, 1, 50)
         # a constant cloud: its det and its threshold are both exactly 0

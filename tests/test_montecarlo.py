@@ -56,6 +56,11 @@ class TestCholesky:
         L = cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]))
         assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]], atol=1e-12)
 
+    def test_int_lists_factor_as_floats(self):
+        sigma = [[4, 2, 0], [2, 5, 1], [0, 1, 3]]
+        assert (cholesky(sigma).tobytes()
+                == cholesky(np.array(sigma, dtype=float)).tobytes())
+
     def test_reconstruction_error(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(6, 6))
@@ -207,6 +212,14 @@ class TestStandardNormals:
                     assert np.array_equal(chunk[j], ref)
                     assert np.array_equal(
                         _normals(seed, start + j, start + j + 1, k)[0], ref)
+
+    def test_zero_uniform_maps_to_two_to_the_minus_53(self, monkeypatch):
+        # random() can return exactly 0.0, whose normal quantile is -inf
+        monkeypatch.setattr(montecarlo, "_philox_uniforms",
+                            lambda seed, start, stop, k: np.array([[0.0, 0.5]]))
+        z = _normals(5, 0, 1, 2)
+        assert z.tolist() == [[-8.209536151601387, 0.0]]
+        assert z[0, 0] == ndtri(0.5 ** 53)
 
     def test_draws_match_one_draw_loop(self):
         fit = cardia_fit()
